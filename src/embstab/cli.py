@@ -4,14 +4,12 @@ Subcommands: simulate (synthetic runs), init (seed the reference space),
 stabilize (map a new run into it), validate (compare two stored runs),
 apply (stream an embedding file through a stored transform). Diagnostics
 go to standard error; data goes to files. Exit codes: 0 success, 2
-validation error, 3 I/O error.
+validation error, 3 I/O error or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -29,26 +27,17 @@ from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
 from .store import (
-    DIGEST_SIZE,
-    EMB_MAGIC,
-    FORMAT_VERSION,
     RunStore,
-    read_embedding_header,
+    open_embeddings,
     read_embeddings,
     read_transform,
+    write_embedding_chunks,
     write_embeddings,
-    _EMB_HEADER,
-    _PRECISION_TO_DTYPE,
-    _ROLE_TO_BYTE,
-    _record_dtype,
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-# Rows per streaming chunk in `apply`; keeps memory bounded by row size.
-APPLY_CHUNK_ROWS = 65536
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,49 +203,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_apply(args) -> int:
     transform = read_transform(args.transform)
-    role, precision, count, dim = read_embedding_header(args.emb)
-    if dim != transform.shape[0]:
-        raise DimensionMismatch(
-            f"embedding width {dim} != transform row count {transform.shape[0]}"
-        )
-    out_dim = transform.shape[1]
-    in_dtype = _record_dtype(dim, precision)
-    out_dtype = _record_dtype(out_dim, precision)
-    out_header = _EMB_HEADER.pack(
-        EMB_MAGIC, FORMAT_VERSION, _ROLE_TO_BYTE[role], precision, count, out_dim, 0
-    )
-    in_digest = hashlib.sha256()
-    out_digest = hashlib.sha256()
-    tmp = Path(str(args.out) + ".tmp")
-    try:
-        with open(args.emb, "rb") as src, open(tmp, "wb") as dst:
-            in_digest.update(src.read(_EMB_HEADER.size))
-            dst.write(out_header)
-            out_digest.update(out_header)
-            remaining = count
-            while remaining > 0:
-                n = min(remaining, APPLY_CHUNK_ROWS)
-                chunk = src.read(n * in_dtype.itemsize)
-                if len(chunk) != n * in_dtype.itemsize:
-                    raise CorruptFile(f"{args.emb}: truncated record section")
-                in_digest.update(chunk)
-                records = np.frombuffer(chunk, dtype=in_dtype)
-                out = np.empty(n, dtype=out_dtype)
-                out["id"] = records["id"]
-                # Same partition-invariant kernel as apply_transform, so the
-                # streamed file matches an in-memory application bit for bit.
-                transformed = rowwise_matmul(records["vec"], transform)
-                out["vec"] = transformed.astype(_PRECISION_TO_DTYPE[precision])
-                dst.write(out.tobytes())
-                out_digest.update(out.tobytes())
-                remaining -= n
-            stored = src.read(DIGEST_SIZE)
-            if src.read(1) != b"" or in_digest.digest() != stored:
-                raise CorruptFile(f"{args.emb}: checksum mismatch")
-            dst.write(out_digest.digest())
-        os.replace(tmp, args.out)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with open_embeddings(args.emb) as (role, precision, count, dim, chunks):
+        if dim != transform.shape[0]:
+            raise DimensionMismatch(
+                f"embedding width {dim} != transform row count {transform.shape[0]}"
+            )
+        # Same partition-invariant kernel as apply_transform, so the streamed
+        # file matches an in-memory application bit for bit.
+        out = ((chunk["id"], rowwise_matmul(chunk["vec"], transform)) for chunk in chunks)
+        write_embedding_chunks(args.out, role, precision, count, transform.shape[1], out)
     return EXIT_OK
 
 
@@ -272,6 +227,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

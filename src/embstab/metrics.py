@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +47,7 @@ class MetricsReport:
     rbo_depth: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_user_cosine": self.mean_user_cosine,
-            "mean_item_cosine": self.mean_item_cosine,
-            "mean_rbo": self.mean_rbo,
-            "n_users_compared": self.n_users_compared,
-            "n_items_compared": self.n_items_compared,
-            "rbo_persistence": self.rbo_persistence,
-            "rbo_depth": self.rbo_depth,
-        }
+        return asdict(self)
 
     def to_flat_text(self) -> str:
         """One `metric = value` line per field."""

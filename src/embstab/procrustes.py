@@ -14,18 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAlignmentWarning, DimensionMismatch, NonFinite
+from .lowrank import _readonly
 
 # Cross-covariance singular values below this fraction of the largest mean
 # the optimal alignment is not unique.
 DEGENERATE_SV_RTOL = 1e-12
 
 ORTHONORMALITY_RTOL = 1e-12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.setflags(write=False)
-    return view
 
 
 @dataclass(frozen=True, eq=False)

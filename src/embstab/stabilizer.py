@@ -223,12 +223,10 @@ def chain_equivalence_check(
     when successive runs are exact orthogonal transforms of one another;
     for noisy runs this measures, but does not bound, the chaining error.
     """
-    for a, b in zip(run0, run1):
-        if not np.array_equal(np.sort(a.ids), np.sort(b.ids)):
-            raise DimensionMismatch("chain equivalence requires a fixed id vocabulary")
-    for a, b in zip(run0, run2):
-        if not np.array_equal(np.sort(a.ids), np.sort(b.ids)):
-            raise DimensionMismatch("chain equivalence requires a fixed id vocabulary")
+    for run in (run1, run2):
+        for a, b in zip(run0, run):
+            if not np.array_equal(np.sort(a.ids), np.sort(b.ids)):
+                raise DimensionMismatch("chain equivalence requires a fixed id vocabulary")
 
     _, ref0 = init_reference(*run0, run_id="chain-seed", rank_policy=rank_policy)
     direct, _ = stabilize_run(
@@ -241,23 +239,18 @@ def chain_equivalence_check(
         *run2, ref1, run_id="chain-chained", rank_policy=rank_policy, min_overlap=min_overlap
     )
 
-    item_gap = float(
-        np.linalg.norm(
-            direct.stabilized_items.vectors.astype(np.float64)
-            - chained.stabilized_items.vectors.astype(np.float64)
-        )
-    )
-    user_gap = float(
-        np.linalg.norm(
-            direct.stabilized_users.vectors.astype(np.float64)
-            - chained.stabilized_users.vectors.astype(np.float64)
-        )
-    )
-    item_norm = float(np.linalg.norm(direct.stabilized_items.vectors))
-    user_norm = float(np.linalg.norm(direct.stabilized_users.vectors))
+    item_gap, item_gap_rel = _gap(direct.stabilized_items, chained.stabilized_items)
+    user_gap, user_gap_rel = _gap(direct.stabilized_users, chained.stabilized_users)
     return ChainEquivalenceReport(
         item_gap=item_gap,
         user_gap=user_gap,
-        item_gap_rel=item_gap / item_norm if item_norm > 0 else item_gap,
-        user_gap_rel=user_gap / user_norm if user_norm > 0 else user_gap,
+        item_gap_rel=item_gap_rel,
+        user_gap_rel=user_gap_rel,
     )
+
+
+def _gap(direct: EmbeddingMatrix, chained: EmbeddingMatrix) -> tuple[float, float]:
+    """Frobenius distance between two outputs, absolute and relative to direct."""
+    gap = float(np.linalg.norm(direct.vectors.astype(np.float64) - chained.vectors))
+    norm = float(np.linalg.norm(direct.vectors))
+    return gap, gap / norm if norm > 0 else gap

@@ -12,6 +12,9 @@ Embedding file (.emb), all little-endian:
     records   count x (id u64, dim floats at the stated precision)
     digest    32 bytes sha256 of all preceding bytes
 
+open_embeddings and write_embedding_chunks are the only .emb codec: the
+library, RunStore and the CLI's `apply` all stream records through them.
+
 Transform file (.olt), all little-endian:
 
     magic     4 bytes  'OLRT'
@@ -24,7 +27,11 @@ Transform file (.olt), all little-endian:
 Runs live under `runs/<run_id>/` with `items.emb`, `users.emb` (stabilized
 embeddings; items.emb doubles as the chaining anchor), `raw_items.emb`,
 `raw_users.emb` (verbatim inputs, kept for raw-mode validation), `mT.olt`,
-`mW.olt` (composed maps, float64), and `meta` (JSON run record). The
+`mW.olt` (composed maps, float64), and `meta` (JSON run record). Saves
+hold `save.lock` at the store root, write the run under
+`runs/.staging-<run_id>/` (removing what a failed save left there) and
+rename it into place once `meta` is written, so a failed save never blocks
+a retry under its id. The
 `latest_ref` pointer file at the store root holds the current reference
 run id and is advanced by write-new-then-rename under an advisory lock, so
 readers never block and a crash cannot leave it pointing at garbage.
@@ -37,7 +44,9 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,6 +69,11 @@ FORMAT_VERSION = 1
 CHECKSUM_ALGORITHM = "sha256"  # 32-byte digest, fixed for format version 1
 DIGEST_SIZE = 32
 
+# Most records in one streamed chunk: reading or writing a .emb file holds
+# this many rows in memory, whatever its length.
+CHUNK_ROWS = 65536
+_HASH_BLOCK_BYTES = 1 << 24
+
 _EMB_HEADER = struct.Struct("<4sHBBQII")
 _TRF_HEADER = struct.Struct("<4sHI")
 
@@ -72,6 +86,92 @@ _RUN_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 def _record_dtype(dim: int, precision: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("vec", f"<f{precision}", (dim,))])
+
+
+@contextmanager
+def open_embeddings(path):
+    """The one .emb reader. Parses the header and checks it against the file
+    size before anything is allocated, then yields (role, precision, count,
+    dim, chunks); chunks yields the records in order, at most CHUNK_ROWS at
+    a time in one reused buffer, and checks the digest after the last."""
+    with open(path, "rb") as fh:
+        header = fh.read(_EMB_HEADER.size)
+        if len(header) < _EMB_HEADER.size:
+            raise CorruptFile(f"{path}: truncated header")
+        magic, version, role_byte, precision, count, dim, reserved = _EMB_HEADER.unpack(header)
+        if magic != EMB_MAGIC:
+            raise CorruptFile(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise CorruptFile(f"{path}: unsupported format version {version}")
+        if role_byte not in _BYTE_TO_ROLE:
+            raise CorruptFile(f"{path}: unknown role byte {role_byte}")
+        if precision not in _PRECISION_TO_DTYPE:
+            raise CorruptFile(f"{path}: unknown precision byte {precision}")
+        if reserved != 0:
+            raise CorruptFile(f"{path}: reserved field must be 0, got {reserved}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _EMB_HEADER.size + count * (8 + dim * precision) + DIGEST_SIZE
+        if size != expected:
+            raise CorruptFile(f"{path}: size {size} != expected {expected}")
+
+        def chunks():
+            digest = hashlib.sha256(header)
+            buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim, precision))
+            for start in range(0, count, CHUNK_ROWS):
+                chunk = buf[: min(CHUNK_ROWS, count - start)]
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise CorruptFile(f"{path}: truncated records")
+                digest.update(chunk)
+                yield chunk
+            if fh.read(DIGEST_SIZE + 1) != digest.digest():
+                raise CorruptFile(f"{path}: checksum mismatch")
+
+        yield _BYTE_TO_ROLE[role_byte], precision, count, dim, chunks()
+
+
+def _write_sealed(path, header: bytes, body) -> str:
+    """Write `header`, each buffer that `body` yields, and the sha256 of all
+    of them to `<path>.tmp`, then rename it onto `path`. Any exception
+    removes the tmp file and leaves `path` as it was. Returns the hex digest."""
+    tmp = Path(str(path) + ".tmp")
+    digest = hashlib.sha256(header)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for buf in body:
+                fh.write(buf)
+                digest.update(buf)
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return digest.hexdigest()
+
+
+def write_embedding_chunks(path, role: Role, precision: int, count: int, dim: int, chunks) -> str:
+    """The one .emb writer. `chunks` yields (ids, vectors) pairs that add up
+    to the `count` rows the header declares; vectors are cast to the file
+    precision and packed at most CHUNK_ROWS rows at a time. Returns the hex
+    sha256 of the file body."""
+
+    def records():
+        buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim, precision))
+        written = 0
+        for ids, vectors in chunks:
+            for start in range(0, len(ids), CHUNK_ROWS):
+                n = min(CHUNK_ROWS, len(ids) - start)
+                rec = buf[:n]
+                rec["id"] = ids[start : start + n]
+                rec["vec"] = vectors[start : start + n]
+                written += n
+                yield rec
+        if written != count:
+            raise ValueError(f"{path}: {written} rows written, {count} declared")
+
+    header = _EMB_HEADER.pack(
+        EMB_MAGIC, FORMAT_VERSION, _ROLE_TO_BYTE[role], precision, count, dim, 0
+    )
+    return _write_sealed(path, header, records())
 
 
 def write_embeddings(emb: EmbeddingMatrix, path, precision: int | None = None) -> str:
@@ -90,82 +190,34 @@ def write_embeddings(emb: EmbeddingMatrix, path, precision: int | None = None) -
         raise PrecisionLoss(
             f"refusing to downcast float{native * 8} embeddings to float{precision * 8}"
         )
-    header = _EMB_HEADER.pack(
-        EMB_MAGIC, FORMAT_VERSION, _ROLE_TO_BYTE[emb.role], precision, emb.n, emb.dim, 0
-    )
-    records = np.empty(emb.n, dtype=_record_dtype(emb.dim, precision))
-    records["id"] = emb.ids
-    records["vec"] = emb.vectors.astype(_PRECISION_TO_DTYPE[precision], copy=False)
-    digest = hashlib.sha256()
-    digest.update(header)
-    digest.update(records.tobytes())
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())
-        fh.write(digest.digest())
-    os.replace(tmp, path)
-    return digest.hexdigest()
-
-
-def read_embedding_header(path) -> tuple[Role, int, int, int]:
-    """Parse and validate a .emb header; returns (role, precision, count, dim)."""
-    with open(path, "rb") as fh:
-        header = fh.read(_EMB_HEADER.size)
-    if len(header) < _EMB_HEADER.size:
-        raise CorruptFile(f"{path}: truncated header")
-    magic, version, role_byte, precision, count, dim, reserved = _EMB_HEADER.unpack(header)
-    if magic != EMB_MAGIC:
-        raise CorruptFile(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise CorruptFile(f"{path}: unsupported format version {version}")
-    if role_byte not in _BYTE_TO_ROLE:
-        raise CorruptFile(f"{path}: unknown role byte {role_byte}")
-    if precision not in _PRECISION_TO_DTYPE:
-        raise CorruptFile(f"{path}: unknown precision byte {precision}")
-    if reserved != 0:
-        raise CorruptFile(f"{path}: reserved field must be 0, got {reserved}")
-    return _BYTE_TO_ROLE[role_byte], precision, count, dim
+    chunks = [(emb.ids, emb.vectors)]
+    return write_embedding_chunks(path, emb.role, precision, emb.n, emb.dim, chunks)
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
     """Read a .emb file back bit-exactly, verifying structure and checksum."""
-    raw = Path(path).read_bytes()
-    role, precision, count, dim = read_embedding_header(path)
-    expected = _EMB_HEADER.size + count * (8 + dim * precision) + DIGEST_SIZE
-    if len(raw) != expected:
-        raise CorruptFile(f"{path}: size {len(raw)} != expected {expected}")
-    body, digest = raw[:-DIGEST_SIZE], raw[-DIGEST_SIZE:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CorruptFile(f"{path}: checksum mismatch")
-    records = np.frombuffer(
-        body, dtype=_record_dtype(dim, precision), count=count, offset=_EMB_HEADER.size
-    )
-    vectors = records["vec"].reshape(count, dim)
-    return EmbeddingMatrix(role, records["id"].copy(), vectors.copy())
+    with open_embeddings(path) as (role, precision, count, dim, chunks):
+        ids = np.empty(count, dtype=np.uint64)
+        vectors = np.empty((count, dim), dtype=_PRECISION_TO_DTYPE[precision])
+        start = 0
+        for chunk in chunks:
+            ids[start : start + len(chunk)] = chunk["id"]
+            vectors[start : start + len(chunk)] = chunk["vec"]
+            start += len(chunk)
+    return EmbeddingMatrix(role, ids, vectors)
 
 
 def write_transform(matrix, path, meta: dict | None = None) -> str:
     """Write a float64 transform; returns the hex sha256 of the file body.
 
     When meta is given it is written as JSON to `<path>.json` alongside."""
-    m = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
+    m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"transform must be a nonempty 2-D matrix, got shape {m.shape}")
-    header = _TRF_HEADER.pack(TRF_MAGIC, FORMAT_VERSION, m.shape[0])
-    payload = m.astype("<f8", copy=False).tobytes()
-    digest = hashlib.sha256()
-    digest.update(header)
-    digest.update(payload)
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(digest.digest())
-    os.replace(tmp, path)
+    digest = _write_sealed(path, _TRF_HEADER.pack(TRF_MAGIC, FORMAT_VERSION, m.shape[0]), [m])
     if meta is not None:
         Path(str(path) + ".json").write_text(json.dumps(meta, indent=2) + "\n")
-    return digest.hexdigest()
+    return digest
 
 
 def read_transform(path) -> np.ndarray:
@@ -242,29 +294,34 @@ class RunStore:
         """Persist one stabilized run. The run directory is append-only:
         saving an existing run id fails rather than rewriting history."""
         directory = self.run_dir(run.run_id)
-        if directory.exists():
-            raise FileExistsError(f"run {run.run_id!r} already stored; runs are append-only")
         self.init()
-        directory.mkdir()
-        files = {
-            "items.emb": write_embeddings(run.stabilized_items, directory / "items.emb"),
-            "users.emb": write_embeddings(run.stabilized_users, directory / "users.emb"),
-            "raw_items.emb": write_embeddings(raw_items, directory / "raw_items.emb"),
-            "raw_users.emb": write_embeddings(raw_users, directory / "raw_users.emb"),
-            "mT.olt": write_transform(run.item_map, directory / "mT.olt"),
-            "mW.olt": write_transform(run.user_map, directory / "mW.olt"),
-        }
-        record = RunRecord(
-            run_id=run.run_id,
-            reference_run_id=run.reference_run_id,
-            created_at=datetime.now(timezone.utc).isoformat(),
-            dim=run.output_dim,
-            effective_rank=run.effective_rank,
-            spectrum=tuple(float(s) for s in run.spectrum),
-            rank_policy=rank_policy,
-            files=files,
-        )
-        (directory / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
+        staging = self.runs_dir / f".staging-{run.run_id}"
+        with open(self.root / "save.lock", "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            if directory.exists():
+                raise FileExistsError(f"run {run.run_id!r} already stored; runs are append-only")
+            shutil.rmtree(staging, ignore_errors=True)
+            staging.mkdir()
+            files = {
+                "items.emb": write_embeddings(run.stabilized_items, staging / "items.emb"),
+                "users.emb": write_embeddings(run.stabilized_users, staging / "users.emb"),
+                "raw_items.emb": write_embeddings(raw_items, staging / "raw_items.emb"),
+                "raw_users.emb": write_embeddings(raw_users, staging / "raw_users.emb"),
+                "mT.olt": write_transform(run.item_map, staging / "mT.olt"),
+                "mW.olt": write_transform(run.user_map, staging / "mW.olt"),
+            }
+            record = RunRecord(
+                run_id=run.run_id,
+                reference_run_id=run.reference_run_id,
+                created_at=datetime.now(timezone.utc).isoformat(),
+                dim=run.output_dim,
+                effective_rank=run.effective_rank,
+                spectrum=tuple(float(s) for s in run.spectrum),
+                rank_policy=rank_policy,
+                files=files,
+            )
+            (staging / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
+            staging.rename(directory)
         return record
 
     def load_record(self, run_id: str) -> RunRecord:
@@ -276,9 +333,8 @@ class RunStore:
         return RunRecord(**data)
 
     def list_runs(self) -> list[str]:
-        if not self.runs_dir.exists():
-            return []
-        return sorted(p.name for p in self.runs_dir.iterdir() if (p / "meta").exists())
+        # Run ids never start with ".", staging directories always do.
+        return sorted(p.parent.name for p in self.runs_dir.glob("[!.]*/meta"))
 
     def validate_record(self, record: RunRecord) -> None:
         """Check that every referenced file exists and matches its digest."""
@@ -287,8 +343,13 @@ class RunStore:
             path = directory / name
             if not path.exists():
                 raise CorruptFile(f"{path}: referenced by run {record.run_id!r} but missing")
-            actual = hashlib.sha256(path.read_bytes()[:-DIGEST_SIZE]).hexdigest()
-            if actual != expected:
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                remaining = os.fstat(fh.fileno()).st_size - DIGEST_SIZE
+                while remaining > 0 and (block := fh.read(min(remaining, _HASH_BLOCK_BYTES))):
+                    digest.update(block)
+                    remaining -= len(block)
+            if digest.hexdigest() != expected:
                 raise CorruptFile(f"{path}: digest mismatch")
 
     def load_stabilized(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:

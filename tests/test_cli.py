@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from embstab import (
     write_embeddings,
     write_transform,
 )
+import embstab.cli
+import embstab.store
 from embstab.cli import main
 from conftest import random_pair
 
@@ -324,6 +328,21 @@ class TestValidate:
         ])
         assert rc == 2
 
+    def test_out_of_memory_exits_3_with_one_line(self, store_with_two_runs, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(embstab.cli, "compare_runs", exhausted)
+        rc = main([
+            "validate", "--run-a", "run0", "--run-b", "run1",
+            "--store", str(store_with_two_runs),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "298. GiB" in err
+
     def test_report_files_and_flat_format(self, tmp_path, store_with_two_runs):
         out = tmp_path / "rep"
         main([
@@ -457,9 +476,7 @@ class TestApply:
         assert rc == 3
 
     def test_streaming_across_chunk_boundary(self, tmp_path, monkeypatch):
-        import embstab.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "APPLY_CHUNK_ROWS", 37)
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 37)
         items, _ = random_pair(100, 5, 4, seed=10, dtype=np.float32)
         m = np.random.default_rng(11).standard_normal((4, 4))
         write_embeddings(items, tmp_path / "in.emb")
@@ -472,3 +489,31 @@ class TestApply:
         in_memory = apply_transform(items, m)
         # Chunking must not leak into the numbers at all.
         assert np.array_equal(streamed.vectors, in_memory.vectors)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_bytes_equal_write_embeddings(self, tmp_path, monkeypatch, dtype):
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 37)
+        items, _ = random_pair(100, 5, 6, seed=12, dtype=dtype)
+        m = np.random.default_rng(13).standard_normal((6, 5))
+        write_embeddings(items, tmp_path / "in.emb")
+        write_transform(m, tmp_path / "m.olt")
+        assert main([
+            "apply", "--emb", str(tmp_path / "in.emb"),
+            "--transform", str(tmp_path / "m.olt"), "--out", str(tmp_path / "out.emb"),
+        ]) == 0
+        write_embeddings(apply_transform(items, m), tmp_path / "expected.emb")
+        assert (tmp_path / "out.emb").read_bytes() == (tmp_path / "expected.emb").read_bytes()
+
+
+def test_cli_uses_no_private_store_names():
+    """The .emb format lives in store.py; the CLI reaches it only through
+    public names."""
+    tree = ast.parse(Path(embstab.cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("store", "embstab.store")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

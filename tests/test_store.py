@@ -1,16 +1,22 @@
 import hashlib
 import json
 import os
+import pathlib
 import struct
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embstab.store
 from embstab import (
     EmbeddingMatrix,
     Role,
+    RunRecord,
     RunStore,
     init_reference,
     read_embeddings,
@@ -26,6 +32,7 @@ from embstab.errors import (
     PrecisionLoss,
     UnknownRun,
 )
+from embstab.store import write_embedding_chunks
 from conftest import random_pair
 
 
@@ -130,6 +137,73 @@ class TestEmbeddingFormat:
         assert np.array_equal(back.ids, emb.ids)
         assert np.array_equal(back.vectors, emb.vectors)
         assert back.vectors.dtype == dtype
+
+
+class TestChunkedCodec:
+    RECORD = 8 + 3 * 8  # id plus three float64
+
+    def written(self, tmp_path, n=40):
+        path = tmp_path / "e.emb"
+        write_embeddings(sample_emb(n=n, seed=4), path)
+        return path
+
+    @pytest.mark.parametrize("rows", [1, 7, 37])
+    def test_chunked_read_is_bit_identical(self, tmp_path, monkeypatch, rows):
+        path = self.written(tmp_path)
+        whole = read_embeddings(path)
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", rows)
+        chunked = read_embeddings(path)
+        assert chunked.ids.tobytes() == whole.ids.tobytes()
+        assert chunked.vectors.tobytes() == whole.vectors.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 37])
+    def test_chunked_write_is_byte_identical(self, tmp_path, monkeypatch, rows):
+        emb = sample_emb(n=40, seed=4)
+        whole = self.written(tmp_path).read_bytes()
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", rows)
+        write_embeddings(emb, tmp_path / "chunked.emb")
+        assert (tmp_path / "chunked.emb").read_bytes() == whole
+
+    def test_flipped_byte_in_later_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 7)
+        path = self.written(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[24 + 30 * self.RECORD + 10] ^= 0x01  # row 30, in the fifth chunk
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="checksum"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "cut", [lambda raw: raw[: 24 + 38 * TestChunkedCodec.RECORD + 5], lambda raw: raw + b"\0"]
+    )
+    def test_truncated_last_chunk_or_trailing_bytes(self, tmp_path, monkeypatch, cut):
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 7)
+        path = self.written(tmp_path)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(CorruptFile, match="size"):
+            read_embeddings(path)
+
+    def test_huge_count_rejected_without_allocating(self, tmp_path):
+        path = self.written(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<Q", 2**40)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFile, match="size"):
+                read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        emb = sample_emb(n=5)
+        with pytest.raises(ValueError, match="declared"):
+            write_embedding_chunks(
+                tmp_path / "e.emb", emb.role, 8, emb.n + 1, emb.dim, [(emb.ids, emb.vectors)]
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTransformFormat:
@@ -276,6 +350,92 @@ class TestRunStore:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptFile):
             store.validate_record(records[0])
+
+    def test_validate_record_detects_tampered_transform(self, tmp_path):
+        store, records = make_store_with_runs(tmp_path, n_runs=1)
+        path = store.run_dir("run0") / "mT.olt"
+        raw = bytearray(path.read_bytes())
+        raw[20] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile):
+            store.validate_record(records[0])
+
+    @pytest.mark.parametrize("failing", range(6))
+    def test_failed_save_does_not_block_retry(self, tmp_path, monkeypatch, failing):
+        store = RunStore(tmp_path / "store")
+        items, users = random_pair(40, 30, 4, seed=0)
+        run, _ = init_reference(items, users, "run0")
+        calls = []
+
+        def fail_once(write):
+            def wrapped(*args, **kwargs):
+                calls.append(args[1])
+                if len(calls) - 1 == failing:
+                    raise OSError(f"simulated failure writing {args[1]}")
+                return write(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(embstab.store, "write_embeddings", fail_once(write_embeddings))
+        monkeypatch.setattr(embstab.store, "write_transform", fail_once(write_transform))
+        with pytest.raises(OSError, match="simulated"):
+            store.save_run(run, items, users)
+        monkeypatch.undo()
+        assert len(calls) == failing + 1
+        assert store.list_runs() == []
+        assert not store.run_dir("run0").exists()
+
+        record = store.save_run(run, items, users)
+        store.validate_record(record)
+        assert store.list_runs() == ["run0"]
+        assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
+
+    def test_staged_run_with_meta_is_not_listed(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "store")
+        items, users = random_pair(40, 30, 4, seed=0)
+        run, _ = init_reference(items, users, "run0")
+
+        def explode(self, target):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(pathlib.Path, "rename", explode)
+        with pytest.raises(OSError, match="simulated"):
+            store.save_run(run, items, users)
+        monkeypatch.undo()
+        assert (store.runs_dir / ".staging-run0" / "meta").exists()
+        assert store.list_runs() == []
+        store.validate_record(store.save_run(run, items, users))
+        assert store.list_runs() == ["run0"]
+
+    def test_concurrent_saves_of_one_id_commit_one_whole_run(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        saves = []
+        for seed in (0, 1):
+            items, users = random_pair(3000, 2000, 8, seed=seed)
+            saves.append((init_reference(items, users, "run0")[0], items, users))
+        results = []
+
+        def save(args):
+            try:
+                results.append(store.save_run(*args))
+            except FileExistsError as exc:
+                results.append(exc)
+
+        threads = [threading.Thread(target=save, args=(args,)) for args in saves]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        records = [r for r in results if isinstance(r, RunRecord)]
+        assert len(results) == 2 and len(records) == 1
+        store.validate_record(records[0])
+        assert store.load_record("run0") == records[0]
 
     def test_advance_with_missing_anchor_leaves_pointer(self, tmp_path):
         store, records = make_store_with_runs(tmp_path, n_runs=2)
