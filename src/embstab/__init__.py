@@ -12,13 +12,10 @@ consumers see stable coordinates.
 from . import errors
 from .lowrank import (
     EmbeddingMatrix,
-    FactoredDecomposition,
     Role,
     SvdTransform,
     apply_transform,
-    factored_decomposition,
     low_rank_svd_trans,
-    qr_thin,
     rowwise_matmul,
 )
 from .metrics import (
@@ -63,7 +60,6 @@ __all__ = [
     "AlignmentMap",
     "ChainEquivalenceReport",
     "EmbeddingMatrix",
-    "FactoredDecomposition",
     "MetricsReport",
     "ReferenceSpace",
     "Role",
@@ -78,7 +74,6 @@ __all__ = [
     "compare_runs",
     "default_min_overlap",
     "errors",
-    "factored_decomposition",
     "gen_ground_truth",
     "gen_retrained_run",
     "haar_orthogonal",
@@ -87,7 +82,6 @@ __all__ = [
     "low_rank_svd_trans",
     "mean_same_id_cosine",
     "ortho_procrustes",
-    "qr_thin",
     "rank_correlation_report",
     "rbo",
     "read_embeddings",

@@ -4,7 +4,9 @@ Subcommands: simulate (synthetic runs), init (seed the reference space),
 stabilize (map a new run into it), validate (compare two stored runs),
 apply (stream an embedding file through a stored transform). Diagnostics
 go to standard error; data goes to files. Exit codes: 0 success, 2
-validation error, 3 I/O error or out of memory.
+validation error (bad dimensions, unknown run ids, insufficient overlap,
+rank deficiency, a zero-norm row in a compared run), 3 I/O error or out of
+memory.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     EmbStabError,
     InvalidConfig,
 )
-from .lowrank import EmbeddingMatrix, rowwise_matmul
+from .lowrank import rowwise_matmul
 from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
@@ -101,18 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pair(items_path, users_path) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    items = read_embeddings(items_path)
-    users = read_embeddings(users_path)
-    if items.dim != users.dim:
-        raise DimensionMismatch(
-            f"item embedding width {items.dim} != user embedding width {users.dim}"
-        )
-    return items, users
-
-
 def _cmd_init(args) -> int:
-    items, users = _load_pair(args.items, args.users)
+    items, users = read_embeddings(args.items), read_embeddings(args.users)
     run, _ = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
     store = RunStore(args.out)
     store.init()
@@ -123,7 +115,7 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    items, users = _load_pair(args.items, args.users)
+    items, users = read_embeddings(args.items), read_embeddings(args.users)
     store = RunStore(args.out)
     ref = store.reference_space(args.ref)
     run, _ = stabilize_run(

@@ -113,23 +113,6 @@ class EmbeddingMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class FactoredDecomposition:
-    """QR/SVD factors of the score space; transient diagnostic surface.
-
-    q_items r_items = T and q_users r_users = W are thin QR factorizations;
-    svd_left @ diag(spectrum) @ svd_right.T is the SVD of r_items r_users^T.
-    """
-
-    q_items: np.ndarray
-    r_items: np.ndarray
-    q_users: np.ndarray
-    r_users: np.ndarray
-    svd_left: np.ndarray
-    spectrum: np.ndarray
-    svd_right: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SvdTransform:
     """Per-run maps into the score space's principal-direction coordinates.
 
@@ -141,7 +124,6 @@ class SvdTransform:
     item_map: np.ndarray
     user_map: np.ndarray
     spectrum: np.ndarray
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         for name in ("item_map", "user_map", "spectrum"):
@@ -149,34 +131,13 @@ class SvdTransform:
             object.__setattr__(self, name, _readonly(arr))
 
     @property
-    def input_dim(self) -> int:
-        return self.item_map.shape[0]
-
-    @property
     def rank(self) -> int:
         return self.spectrum.shape[0]
 
 
-def qr_thin(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization with a nonnegative diagonal on the R factor.
-
-    Returns (q, r) with orthonormal columns in q and upper-triangular r such
-    that q @ r reconstructs the input. The sign convention makes the result
-    a deterministic function of the input.
-    """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("matrix contains NaN or Inf")
-    q, r = np.linalg.qr(a, mode="reduced")
-    signs = np.sign(np.diag(r)).copy()
-    signs[signs == 0] = 1.0
-    return q * signs, signs[:, None] * r
-
-
 def _r_factor(a: np.ndarray) -> np.ndarray:
-    # R-only thin QR, same sign convention as qr_thin; Q is never materialized.
+    # R factor of the thin QR with a nonnegative diagonal, so the result is a
+    # deterministic function of the input; Q is never materialized.
     r = np.linalg.qr(a, mode="r")
     signs = np.sign(np.diag(r)).copy()
     signs[signs == 0] = 1.0
@@ -194,24 +155,6 @@ def _canonical_svd(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u * signs, s, signs[:, None] * vt
 
 
-def factored_decomposition(items: EmbeddingMatrix, users: EmbeddingMatrix) -> FactoredDecomposition:
-    """Materialize all intermediate factors. For diagnostics and tests only;
-    production use goes through low_rank_svd_trans, which skips the Q factors."""
-    _check_pair(items, users)
-    q_t, r_t = qr_thin(items.vectors)
-    q_w, r_w = qr_thin(users.vectors)
-    u, s, vt = _canonical_svd(r_t @ r_w.T)
-    return FactoredDecomposition(
-        q_items=q_t,
-        r_items=r_t,
-        q_users=q_w,
-        r_users=r_w,
-        svd_left=u,
-        spectrum=s,
-        svd_right=vt.T,
-    )
-
-
 def _check_pair(items: EmbeddingMatrix, users: EmbeddingMatrix) -> None:
     if items.role is not Role.ITEM:
         raise RoleMismatch(f"expected an item matrix, got role {items.role.name}")
@@ -223,13 +166,14 @@ def _check_pair(items: EmbeddingMatrix, users: EmbeddingMatrix) -> None:
         )
     if items.n < 1 or users.n < 1:
         raise DimensionMismatch("embedding matrices must have at least one row")
+    if items.dim < 1:
+        raise DimensionMismatch("embedding width must be at least 1")
 
 
 def low_rank_svd_trans(
     items: EmbeddingMatrix,
     users: EmbeddingMatrix,
     rank_policy: str = "strict",
-    run_id: str = "",
 ) -> SvdTransform:
     """Compute the score-space SVD transform from the factors alone.
 
@@ -240,7 +184,6 @@ def low_rank_svd_trans(
             falls below SV_TRUNCATION_RTOL times the largest; "truncate"
             drops the affected columns instead, shrinking the output
             dimension.
-        run_id: opaque tag carried on the result.
 
     Returns:
         SvdTransform whose maps diagonalize both transformed Grams and
@@ -283,7 +226,7 @@ def low_rank_svd_trans(
     inv_sqrt = 1.0 / np.sqrt(s[:kept])
     item_map = (r_w.T @ vt[:kept].T) * inv_sqrt
     user_map = (r_t.T @ u[:, :kept]) * inv_sqrt
-    return SvdTransform(item_map=item_map, user_map=user_map, spectrum=s[:kept], run_id=run_id)
+    return SvdTransform(item_map=item_map, user_map=user_map, spectrum=s[:kept])
 
 
 def rowwise_matmul(rows: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ one after stabilization.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,11 +27,6 @@ from .errors import (
     ZeroNormRow,
 )
 from .lowrank import EmbeddingMatrix
-
-logger = logging.getLogger(__name__)
-
-COSINE_POLICIES = ("strict", "lenient")
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -60,18 +54,13 @@ def write_report(report: MetricsReport, text_path, json_path) -> None:
     Path(json_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
-def mean_same_id_cosine(
-    a: EmbeddingMatrix, b: EmbeddingMatrix, policy: str = "strict"
-) -> tuple[float, int]:
+def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, int]:
     """Mean cosine similarity between same-id rows of two runs.
 
-    Computed over the id intersection. Zero-norm rows raise ZeroNormRow
-    under the strict policy; under "lenient" they are excluded with a
-    logged count. Returns (mean, number of ids compared), using fixed-order
+    Computed over the id intersection; a zero-norm row on either side raises
+    ZeroNormRow. Returns (mean, number of ids compared), using fixed-order
     compensated summation so the result is independent of evaluation order.
     """
-    if policy not in COSINE_POLICIES:
-        raise ValueError(f"policy must be one of {COSINE_POLICIES}, got {policy!r}")
     if a.role is not b.role:
         raise RoleMismatch(f"cannot compare roles {a.role.name} and {b.role.name}")
     shared = np.intersect1d(a.ids, b.ids)
@@ -83,13 +72,7 @@ def mean_same_id_cosine(
     nb = np.linalg.norm(vb, axis=1)
     dead = (na == 0.0) | (nb == 0.0)
     if dead.any():
-        if policy == "strict":
-            raise ZeroNormRow(f"zero-norm row for id {int(shared[dead][0])}")
-        logger.info("excluding %d zero-norm rows from cosine mean", int(dead.sum()))
-        keep = ~dead
-        if not keep.any():
-            raise EmptyIntersection("all shared ids have zero-norm rows")
-        va, vb, na, nb = va[keep], vb[keep], na[keep], nb[keep]
+        raise ZeroNormRow(f"zero-norm row for id {int(shared[dead][0])}")
     cosines = np.sum(va * vb, axis=1) / (na * nb)
     return math.fsum(cosines) / cosines.size, int(cosines.size)
 
@@ -188,12 +171,11 @@ def compare_runs(
     users_b: EmbeddingMatrix,
     top_k: int = 100,
     p: float = 0.9,
-    cosine_policy: str = "strict",
 ) -> MetricsReport:
     """Full two-run comparison: same-user cosine, same-item cosine, and mean
     RBO of rankings against run A's items."""
-    user_cos, n_users = mean_same_id_cosine(users_a, users_b, policy=cosine_policy)
-    item_cos, n_items = mean_same_id_cosine(items_a, items_b, policy=cosine_policy)
+    user_cos, n_users = mean_same_id_cosine(users_a, users_b)
+    item_cos, n_items = mean_same_id_cosine(items_a, items_b)
     mean_rbo, _ = rank_correlation_report(items_a, users_a, users_b, top_k=top_k, p=p)
     return MetricsReport(
         mean_user_cosine=user_cos,

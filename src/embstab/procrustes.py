@@ -61,14 +61,6 @@ class AlignmentMap:
             raise ValueError("determinant is undefined for a non-square alignment")
         return det < 0
 
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.shape[1]
-
 
 def ortho_procrustes(a, b, source_run: str = "", target_run: str = "") -> AlignmentMap:
     """Solve min over orthonormal-row maps r of ||a @ r - b||_F.

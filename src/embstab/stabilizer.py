@@ -119,7 +119,7 @@ def init_reference(
     ReferenceSpace carries the stabilized items as the anchor for
     subsequent runs.
     """
-    transform = low_rank_svd_trans(items, users, rank_policy=rank_policy, run_id=run_id)
+    transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
     return _build_run(run_id, run_id, items, users, transform, alignment=None)
 
 
@@ -149,7 +149,7 @@ def stabilize_run(
         )
     if min_overlap is None:
         min_overlap = default_min_overlap(items.dim)
-    transform = low_rank_svd_trans(items, users, rank_policy=rank_policy, run_id=run_id)
+    transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
 
     shared = np.intersect1d(items.ids, ref.anchor_items.ids)
     if shared.size < min_overlap:

@@ -109,14 +109,18 @@ def open_embeddings(path):
             raise CorruptFile(f"{path}: unknown precision byte {precision}")
         if reserved != 0:
             raise CorruptFile(f"{path}: reserved field must be 0, got {reserved}")
+        try:
+            record = _record_dtype(dim, precision)
+        except ValueError as exc:  # numpy caps a record at a C int of bytes
+            raise CorruptFile(f"{path}: unsupported width {dim}") from exc
         size = os.fstat(fh.fileno()).st_size
-        expected = _EMB_HEADER.size + count * (8 + dim * precision) + DIGEST_SIZE
+        expected = _EMB_HEADER.size + count * record.itemsize + DIGEST_SIZE
         if size != expected:
             raise CorruptFile(f"{path}: size {size} != expected {expected}")
 
         def chunks():
             digest = hashlib.sha256(header)
-            buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim, precision))
+            buf = np.empty(min(count, CHUNK_ROWS), dtype=record)
             for start in range(0, count, CHUNK_ROWS):
                 chunk = buf[: min(CHUNK_ROWS, count - start)]
                 if fh.readinto(chunk) != chunk.nbytes:
@@ -207,17 +211,12 @@ def read_embeddings(path) -> EmbeddingMatrix:
     return EmbeddingMatrix(role, ids, vectors)
 
 
-def write_transform(matrix, path, meta: dict | None = None) -> str:
-    """Write a float64 transform; returns the hex sha256 of the file body.
-
-    When meta is given it is written as JSON to `<path>.json` alongside."""
+def write_transform(matrix, path) -> str:
+    """Write a float64 transform; returns the hex sha256 of the file body."""
     m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"transform must be a nonempty 2-D matrix, got shape {m.shape}")
-    digest = _write_sealed(path, _TRF_HEADER.pack(TRF_MAGIC, FORMAT_VERSION, m.shape[0]), [m])
-    if meta is not None:
-        Path(str(path) + ".json").write_text(json.dumps(meta, indent=2) + "\n")
-    return digest
+    return _write_sealed(path, _TRF_HEADER.pack(TRF_MAGIC, FORMAT_VERSION, m.shape[0]), [m])
 
 
 def read_transform(path) -> np.ndarray:
@@ -367,11 +366,6 @@ class RunStore:
             read_embeddings(directory / "raw_items.emb"),
             read_embeddings(directory / "raw_users.emb"),
         )
-
-    def load_transforms(self, run_id: str) -> tuple[np.ndarray, np.ndarray]:
-        record = self.load_record(run_id)
-        directory = self.run_dir(record.run_id)
-        return read_transform(directory / "mT.olt"), read_transform(directory / "mW.olt")
 
     def latest_reference_id(self) -> str | None:
         if not self.latest_ref_path.exists():

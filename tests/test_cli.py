@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +128,28 @@ class TestInit:
         assert rc == 2
         err = capsys.readouterr().err
         assert "8" in err and "4" in err
+
+    def test_huge_dim_header_exits_3(self, tmp_path, sim_dir, capsys):
+        header = struct.pack("<4sHBBQII", b"OLRE", 1, 0, 8, 0, 2**31, 0)
+        (tmp_path / "wide.emb").write_bytes(header + hashlib.sha256(header).digest())
+        rc = main([
+            "init", "--items", str(tmp_path / "wide.emb"),
+            "--users", str(sim_dir / "run_000.users.emb"),
+            "--run-id", "r", "--out", str(tmp_path / "store"),
+        ])
+        assert rc == 3
+        assert "width" in capsys.readouterr().err
+
+    def test_zero_width_exits_2(self, tmp_path, capsys):
+        write_embeddings(EmbeddingMatrix.of_items(np.empty((20, 0))), tmp_path / "i.emb")
+        write_embeddings(EmbeddingMatrix.of_users(np.empty((20, 0))), tmp_path / "u.emb")
+        rc = main([
+            "init", "--items", str(tmp_path / "i.emb"), "--users", str(tmp_path / "u.emb"),
+            "--run-id", "r", "--out", str(tmp_path / "store"),
+        ])
+        assert rc == 2
+        assert "width" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
     def test_unwritable_out_exits_3(self, tmp_path, sim_dir):
         blocker = tmp_path / "blocker"

@@ -5,9 +5,7 @@ from embstab import (
     EmbeddingMatrix,
     Role,
     apply_transform,
-    factored_decomposition,
     low_rank_svd_trans,
-    qr_thin,
 )
 from embstab.errors import (
     DimensionMismatch,
@@ -60,43 +58,6 @@ class TestEmbeddingMatrix:
     def test_int_input_upcast_to_float64(self):
         emb = EmbeddingMatrix.of_items(np.eye(2, dtype=int))
         assert emb.vectors.dtype == np.float64
-
-
-class TestQrThin:
-    def test_identity(self):
-        q, r = qr_thin(np.eye(3))
-        np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
-
-    def test_hand_computed_column_norms(self):
-        # Columns are orthogonal with norms 5 and 1, so R = diag(5, 1) under
-        # the nonnegative-diagonal convention.
-        a = np.array([[3.0, 0.0], [4.0, 0.0], [0.0, 1.0]])
-        q, r = qr_thin(a)
-        np.testing.assert_allclose(np.diag(r), [5.0, 1.0], atol=1e-12)
-        assert np.all(np.diag(r) >= 0)
-        np.testing.assert_allclose(q @ r, a, atol=1e-12)
-
-    def test_random_reconstruction_and_orthonormality(self):
-        a = np.random.default_rng(3).standard_normal((100, 16))
-        q, r = qr_thin(a)
-        assert rel_fro(q @ r, a) < 1e-12
-        assert np.linalg.norm(q.T @ q - np.eye(16)) < 1e-12
-        assert np.allclose(r, np.triu(r))
-
-    def test_wide_input_allowed(self):
-        a = np.random.default_rng(4).standard_normal((2, 5))
-        q, r = qr_thin(a)
-        assert q.shape == (2, 2) and r.shape == (2, 5)
-        assert rel_fro(q @ r, a) < 1e-12
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NonFinite):
-            qr_thin(np.array([[1.0, np.nan]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            qr_thin(np.empty((0, 3)))
 
 
 # Frozen from a dense SVD of the materialized 3x2 product
@@ -152,10 +113,16 @@ class TestLowRankSvdTrans:
     def test_inverse_free_identity(self):
         # item_map built as R_W^T V S^{-1/2} must agree with the explicit
         # solve R_T^{-1} U S^{1/2}; the solve route exists only here.
+        # Row signs of R and column signs of U may differ from the library's
+        # conventions; the former cancel, the latter are matched per column.
         items, users = random_pair(50, 40, 8, seed=21)
-        fd = factored_decomposition(items, users)
+        r_t = np.linalg.qr(items.vectors, mode="r")
+        r_w = np.linalg.qr(users.vectors, mode="r")
+        u, s, _ = np.linalg.svd(r_t @ r_w.T)
+        alt = np.linalg.solve(r_t, u * np.sqrt(s))
         tr = low_rank_svd_trans(items, users)
-        alt = np.linalg.solve(fd.r_items, fd.svd_left @ np.diag(np.sqrt(fd.spectrum)))
+        np.testing.assert_allclose(tr.spectrum, s, rtol=1e-12)
+        alt *= np.sign(np.sum(alt * tr.item_map, axis=0))
         assert np.linalg.norm(tr.item_map - alt) < 1e-8
 
     def test_deterministic(self):
@@ -181,6 +148,13 @@ class TestLowRankSvdTrans:
         items = EmbeddingMatrix.of_items(np.ones((4, 3)))
         users = EmbeddingMatrix.of_users(np.ones((4, 2)))
         with pytest.raises(DimensionMismatch, match="3.*2"):
+            low_rank_svd_trans(items, users)
+
+    @pytest.mark.parametrize("rows, width, match", [(20, 0, "width"), (0, 3, "row")])
+    def test_empty_side_rejected(self, rows, width, match):
+        items = EmbeddingMatrix.of_items(np.empty((rows, width)))
+        users = EmbeddingMatrix.of_users(np.empty((rows, width)))
+        with pytest.raises(DimensionMismatch, match=match):
             low_rank_svd_trans(items, users)
 
     def test_rank_deficient_strict(self):
@@ -238,25 +212,6 @@ class TestLowRankSvdTrans:
         tr = low_rank_svd_trans(items, users)
         dense = np.linalg.svd(items.vectors @ users.vectors.T, compute_uv=False)[:dim]
         np.testing.assert_allclose(tr.spectrum, dense, rtol=1e-8)
-
-
-class TestFactoredDecomposition:
-    def test_factor_invariants(self):
-        items, users = random_pair(50, 40, 8, seed=13)
-        fd = factored_decomposition(items, users)
-        e = np.eye(8)
-        assert np.linalg.norm(fd.q_items.T @ fd.q_items - e) < 1e-12
-        assert np.linalg.norm(fd.q_users.T @ fd.q_users - e) < 1e-12
-        assert np.linalg.norm(fd.svd_left.T @ fd.svd_left - e) < 1e-12
-        assert np.linalg.norm(fd.svd_right.T @ fd.svd_right - e) < 1e-12
-        assert np.all(np.diff(fd.spectrum) <= 0)
-        assert np.all(fd.spectrum >= 0)
-        np.testing.assert_allclose(fd.q_items @ fd.r_items, items.vectors, atol=1e-12)
-        np.testing.assert_allclose(fd.q_users @ fd.r_users, users.vectors, atol=1e-12)
-        k = fd.r_items @ fd.r_users.T
-        np.testing.assert_allclose(
-            fd.svd_left @ np.diag(fd.spectrum) @ fd.svd_right.T, k, atol=1e-12
-        )
 
 
 class TestApplyTransform:

@@ -86,18 +86,6 @@ class TestMeanSameIdCosine:
         with pytest.raises(ZeroNormRow, match="9"):
             mean_same_id_cosine(a, b)
 
-    def test_zero_norm_lenient_excludes_with_count(self):
-        a = EmbeddingMatrix.of_items([[1.0, 0.0], [0.0, 0.0]], ids=[5, 9])
-        b = EmbeddingMatrix.of_items([[1.0, 0.0], [1.0, 0.0]], ids=[5, 9])
-        mean, n = mean_same_id_cosine(a, b, policy="lenient")
-        assert (mean, n) == (1.0, 1)
-
-    def test_all_rows_dead_lenient(self):
-        a = EmbeddingMatrix.of_items([[0.0]], ids=[1])
-        b = EmbeddingMatrix.of_items([[1.0]], ids=[1])
-        with pytest.raises(EmptyIntersection):
-            mean_same_id_cosine(a, b, policy="lenient")
-
     def test_invariant_under_common_rotation_only(self):
         a, _ = random_pair(40, 5, 8, seed=1)
         b, _ = random_pair(40, 5, 8, seed=2)

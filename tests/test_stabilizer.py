@@ -48,7 +48,7 @@ class TestInitReference:
     def test_maps_equal_svd_maps(self):
         items, users = random_pair(30, 25, 4, seed=3)
         run, _ = init_reference(items, users, "r0")
-        tr = low_rank_svd_trans(items, users, run_id="r0")
+        tr = low_rank_svd_trans(items, users)
         assert np.array_equal(run.item_map, tr.item_map)
         assert np.array_equal(run.user_map, tr.user_map)
         assert run.alignment is None
@@ -192,7 +192,7 @@ class TestStabilizeRun:
         _, ref = init_reference(items, users, "r0")
         items2, users2 = random_pair(50, 40, 8, seed=25)
         run, _ = stabilize_run(items2, users2, ref, "r1")
-        tr = low_rank_svd_trans(items2, users2, run_id="r1")
+        tr = low_rank_svd_trans(items2, users2)
         np.testing.assert_array_equal(run.item_map, tr.item_map @ run.alignment.matrix)
         np.testing.assert_array_equal(run.user_map, tr.user_map @ run.alignment.matrix)
 

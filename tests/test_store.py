@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import pathlib
 import struct
@@ -197,6 +196,14 @@ class TestChunkedCodec:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_huge_dim_with_no_rows_is_corrupt(self, tmp_path):
+        # count 0 makes the size check pass; the width alone is out of range.
+        path = tmp_path / "wide.emb"
+        header = struct.pack("<4sHBBQII", b"OLRE", 1, 0, 8, 0, 2**31, 0)
+        path.write_bytes(header + hashlib.sha256(header).digest())
+        with pytest.raises(CorruptFile, match="width"):
+            read_embeddings(path)
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         emb = sample_emb(n=5)
         with pytest.raises(ValueError, match="declared"):
@@ -249,12 +256,6 @@ class TestTransformFormat:
         with pytest.raises(CorruptFile):
             read_transform(path)
 
-    def test_meta_sidecar(self, tmp_path):
-        path = tmp_path / "t.olt"
-        write_transform(np.eye(2), path, meta={"run_id": "a", "policy": "strict"})
-        sidecar = json.loads((tmp_path / "t.olt.json").read_text())
-        assert sidecar == {"run_id": "a", "policy": "strict"}
-
     @given(
         rows=st.integers(min_value=1, max_value=10),
         cols=st.integers(min_value=1, max_value=10),
@@ -299,7 +300,7 @@ class TestRunStore:
         store, _ = make_store_with_runs(tmp_path)
         stab_items, stab_users = store.load_stabilized("run1")
         raw_items, raw_users = store.load_raw("run1")
-        m_t, m_w = store.load_transforms("run1")
+        m_t = read_transform(store.run_dir("run1") / "mT.olt")
         np.testing.assert_allclose(
             stab_items.vectors,
             raw_items.vectors @ m_t,
