@@ -232,16 +232,19 @@ def low_rank_svd_trans(
 def rowwise_matmul(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed ascending-k accumulation order.
 
-    Every output element depends only on its own input row, so applying the
-    map to any row partition reproduces the sequential per-row result bit
-    for bit. A single BLAS matmul does not guarantee that: its reduction
-    order varies with the operand shape.
+    Each output element is ((0 + r[0] m[0, j]) + r[1] m[1, j]) + ... in
+    float64, every product rounded before its add, so it depends only on its
+    own input row: any row partition reproduces the per-row result bit for
+    bit, which a BLAS matmul, whose reduction order varies with the operand
+    shape, does not. The unoptimized einsum keeps that order only with k in
+    its outer loop; with one output column or a non-C-ordered m it reduces
+    in another order, hence the fresh C-ordered copy of m with one extra
+    zero column, sliced off the result.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    out = np.zeros((rows.shape[0], m.shape[1]), dtype=np.float64)
-    for k in range(m.shape[0]):
-        out += rows[:, k, None] * m[k, None, :]
-    return out
+    m_padded = np.zeros((m.shape[0], m.shape[1] + 1))
+    m_padded[:, :-1] = m
+    return np.einsum("nk,kj->nj", rows, m_padded)[:, :-1]
 
 
 def apply_transform(emb: EmbeddingMatrix, matrix) -> EmbeddingMatrix:

@@ -34,8 +34,6 @@ class AlignmentMap:
     """
 
     matrix: np.ndarray
-    source_run: str = ""
-    target_run: str = ""
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -62,7 +60,7 @@ class AlignmentMap:
         return det < 0
 
 
-def ortho_procrustes(a, b, source_run: str = "", target_run: str = "") -> AlignmentMap:
+def ortho_procrustes(a, b) -> AlignmentMap:
     """Solve min over orthonormal-row maps r of ||a @ r - b||_F.
 
     a and b must have the same number of rows (paired observations) and,
@@ -96,4 +94,4 @@ def ortho_procrustes(a, b, source_run: str = "", target_run: str = "") -> Alignm
             stacklevel=2,
         )
     r = (u @ vt).T
-    return AlignmentMap(matrix=r, source_run=source_run, target_run=target_run)
+    return AlignmentMap(matrix=r)

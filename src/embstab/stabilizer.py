@@ -157,12 +157,11 @@ def stabilize_run(
             f"{shared.size} shared item ids with reference {ref.run_id!r}, "
             f"need at least {min_overlap}"
         )
-    svd_items = items.vectors.astype(np.float64, copy=False) @ transform.item_map
-    source = svd_items[items.positions(shared)]
-    target = ref.anchor_items.vectors.astype(np.float64, copy=False)[
-        ref.anchor_items.positions(shared)
-    ]
-    alignment = ortho_procrustes(source, target, source_run=run_id, target_run=ref.run_id)
+    shared_items = items.vectors[items.positions(shared)]
+    source = shared_items.astype(np.float64, copy=False) @ transform.item_map
+    anchor = ref.anchor_items
+    target = anchor.vectors[anchor.positions(shared)].astype(np.float64, copy=False)
+    alignment = ortho_procrustes(source, target)
     return _build_run(run_id, ref.run_id, items, users, transform, alignment)
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from embstab import (
     EmbeddingMatrix,
     Role,
     apply_transform,
     low_rank_svd_trans,
+    rowwise_matmul,
 )
 from embstab.errors import (
     DimensionMismatch,
@@ -244,13 +247,48 @@ class TestApplyTransform:
         out = apply_transform(emb, np.eye(2))
         assert out.vectors.dtype == np.float32
 
-    def test_matches_per_row_application(self):
-        # Row-partitioned evaluation must agree bitwise with whole-matrix
-        # application, which is what makes parallel application safe.
-        items, _ = random_pair(16, 4, 6, seed=15)
-        m = np.random.default_rng(8).standard_normal((6, 6))
-        whole = apply_transform(items, m)
-        for i in range(items.n):
-            single = EmbeddingMatrix(items.role, items.ids[i : i + 1], items.vectors[i : i + 1])
-            row = apply_transform(single, m)
-            assert np.array_equal(row.vectors[0], whole.vectors[i])
+
+def ascending_k_loop(rows, m):
+    """Oracle for rowwise_matmul: the explicit float64 loop over k, ascending."""
+    rows = np.asarray(rows, dtype=np.float64)
+    out = np.zeros((rows.shape[0], m.shape[1]))
+    for k in range(m.shape[0]):
+        out += rows[:, k, None] * m[k, None, :]
+    return out
+
+
+class TestRowwiseMatmul:
+    # Pins the kernel's accumulation order: stored bytes and the CLI's
+    # streamed output depend on it, so a numpy change that reorders einsum's
+    # reduction must fail here. The examples are the shapes on which the
+    # unpadded einsum differs from the loop: one output column, Fortran m.
+    @given(
+        e=st.integers(min_value=1, max_value=128),
+        out_dim=st.sampled_from(["1", "2", "e-1", "e"]),
+        n=st.integers(min_value=1, max_value=200),
+        f32=st.booleans(),
+        fortran=st.booleans(),
+        records=st.booleans(),
+        cuts=st.lists(st.integers(min_value=1, max_value=199), max_size=8),
+    )
+    @example(e=8, out_dim="1", n=5, f32=False, fortran=False, records=False, cuts=[1, 2, 3, 4])
+    @example(e=6, out_dim="e", n=16, f32=True, fortran=True, records=False, cuts=[3, 11])
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_loop_under_any_partition(
+        self, e, out_dim, n, f32, fortran, records, cuts
+    ):
+        e_out = max(1, {"1": 1, "2": 2, "e-1": e - 1, "e": e}[out_dim])
+        gen = np.random.default_rng([e, e_out, n])
+        m = np.asarray(gen.standard_normal((e, e_out)), order="F" if fortran else "C")
+        rows = gen.standard_normal((n, e)).astype(np.float32 if f32 else np.float64)
+        if records:
+            # Strided field views, as open_embeddings chunks yield them.
+            rec = np.zeros(n, dtype=[("id", "<u8"), ("vec", rows.dtype, (e,))])
+            rec["vec"] = rows
+            rows = rec["vec"]
+        whole = rowwise_matmul(rows, m)
+        assert np.array_equal(whole, ascending_k_loop(rows, m))
+
+        bounds = [0, *sorted({c for c in cuts if c < n}), n]
+        parts = [rowwise_matmul(rows[a:b], m) for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)

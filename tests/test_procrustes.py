@@ -153,7 +153,3 @@ class TestAlignmentMap:
         amap = AlignmentMap(matrix=np.eye(2))
         with pytest.raises(ValueError):
             amap.matrix[0, 0] = 5.0
-
-    def test_run_tags_carried(self):
-        amap = AlignmentMap(matrix=np.eye(2), source_run="a", target_run="b")
-        assert (amap.source_run, amap.target_run) == ("a", "b")
