@@ -5,8 +5,8 @@ stabilize (map a new run into it), validate (compare two stored runs),
 apply (stream an embedding file through a stored transform). Diagnostics
 go to standard error; data goes to files. Exit codes: 0 success, 2
 validation error (bad dimensions, unknown run ids, insufficient overlap,
-rank deficiency, a zero-norm row in a compared run), 3 I/O error or out of
-memory.
+rank deficiency, a zero-norm row in a compared run, a `--top-k` below 1 or
+an `--rbo-p` outside (0, 1)), 3 I/O error or out of memory.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ class InvalidPersistence(EmbStabError):
     """Rank-biased-overlap persistence must lie strictly between 0 and 1."""
 
 
-class InvalidConfig(EmbStabError):
-    """Simulation config violates its field constraints."""
+class InvalidConfig(EmbStabError, ValueError):
+    """A simulation config field or a ranking depth violates its constraints."""
 
 
 class InvalidRunId(EmbStabError):

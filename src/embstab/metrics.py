@@ -7,6 +7,11 @@ overlap (RBO) measures whether a user's top-k item ranking, scored against
 a fixed item set, stays the same when the user's vector comes from a
 different run. Both are near zero for raw retrained embeddings and near
 one after stabilization.
+
+Rankings are computed a block of users at a time, in memory bounded by
+SCORE_BLOCK_ELEMENTS rather than by users x items: an exact top-k by
+partial selection, with score ties broken toward the smaller item id, and
+RBO for the whole block at once.
 """
 
 from __future__ import annotations
@@ -22,11 +27,17 @@ from .errors import (
     DimensionMismatch,
     DuplicateId,
     EmptyIntersection,
+    InvalidConfig,
     InvalidPersistence,
     RoleMismatch,
     ZeroNormRow,
 )
 from .lowrank import EmbeddingMatrix
+
+# Score-matrix elements one block of users may hold (8 MiB of float64);
+# rank_correlation_report scores max(1, this // n_items) users at a time.
+SCORE_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -77,6 +88,39 @@ def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, 
     return math.fsum(cosines) / cosines.size, int(cosines.size)
 
 
+def _check_ranking(depth, p) -> None:
+    if not 0.0 < p < 1.0:
+        raise InvalidPersistence(f"persistence must lie in (0, 1), got {p}")
+    if depth < 1:
+        raise InvalidConfig(f"depth must be >= 1, got {depth}")
+
+
+def _rbo_rows(ranked_a: np.ndarray, ranked_b: np.ndarray, p: float) -> np.ndarray:
+    """Extrapolated RBO at depth k of each row pair of two (rows, k) arrays
+    of ranked ids, each row free of repeats.
+
+    An id held by both lists enters both depth-d prefixes once d exceeds the
+    larger of its two 0-based ranks, so the overlap at each depth is a
+    running count of those ranks. The weighted agreements are then summed in
+    ascending depth, one addition per depth, so every row's value is the same
+    float as a scalar loop over d would give.
+    """
+    rows, k = ranked_a.shape
+    if k == 0:
+        return np.zeros(rows)
+    both = np.concatenate((ranked_a, ranked_b), axis=1)
+    order = np.argsort(both, axis=1, kind="stable")
+    ids = np.take_along_axis(both, order, axis=1)
+    # A shared id sorts into two adjacent slots, list A's first.
+    row, slot = np.nonzero(ids[:, 1:] == ids[:, :-1])
+    joined = np.maximum(order[row, slot], order[row, slot + 1] - k)
+    counts = np.bincount(row * k + joined, minlength=rows * k).reshape(rows, k)
+    agreement = np.cumsum(counts, axis=1) / np.arange(1, k + 1)
+    weights = np.array([p ** (d - 1) for d in range(1, k + 1)])
+    acc = np.add.accumulate(weights * agreement, axis=1)[:, -1]
+    return (1.0 - p) * acc + p**k * agreement[:, -1]
+
+
 def rbo(list_a, list_b, p: float = 0.9, depth: int = 100) -> float:
     """Extrapolated rank-biased overlap of two ranked lists.
 
@@ -89,45 +133,38 @@ def rbo(list_a, list_b, p: float = 0.9, depth: int = 100) -> float:
     (prefixes disjoint at every depth) to 1 (lists agree on every prefix).
     Larger p weights deeper ranks more heavily.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidPersistence(f"persistence must lie in (0, 1), got {p}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_ranking(depth, p)
     la = [int(x) for x in list_a]
     lb = [int(x) for x in list_b]
     if len(set(la)) != len(la) or len(set(lb)) != len(lb):
         raise DuplicateId("ranked lists must not contain repeated ids")
     d_eff = min(depth, len(la), len(lb))
-    if d_eff == 0:
-        return 0.0
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    overlap = 0
-    acc = 0.0
-    agreement = 0.0
-    for d in range(1, d_eff + 1):
-        x, y = la[d - 1], lb[d - 1]
-        if x == y:
-            overlap += 1
-        else:
-            if x in seen_b:
-                overlap += 1
-            if y in seen_a:
-                overlap += 1
-            seen_a.add(x)
-            seen_b.add(y)
-        agreement = overlap / d
-        acc += p ** (d - 1) * agreement
-    return (1.0 - p) * acc + p**d_eff * agreement
+    return float(_rbo_rows(np.array([la[:d_eff]]), np.array([lb[:d_eff]]), p)[0])
 
 
-def _top_ranked_ids(
-    item_ids_sorted: np.ndarray, scores: np.ndarray, k: int
-) -> np.ndarray:
-    # Stable descending sort over columns pre-sorted by ascending item id,
-    # so score ties break toward the smaller id on every platform.
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return item_ids_sorted[order]
+def _top_k_columns(neg_scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k columns of smallest negated score (highest score),
+    ordered by score with ties to the smaller column: the first k of a
+    stable argsort, without sorting the whole row."""
+    rows, n = neg_scores.shape
+    if k < n:
+        cols = np.argpartition(neg_scores, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(neg_scores, cols[:, k - 1 :], axis=1)
+        # argpartition keeps an arbitrary subset of the scores tied with the
+        # k-th; where more tie than fit, keep every column above the k-th
+        # score and the smallest tied columns up to k.
+        crossing = np.count_nonzero(neg_scores <= kth, axis=1) > k
+        if crossing.any():
+            sub, sub_kth = neg_scores[crossing], kth[crossing]
+            above = sub < sub_kth
+            tied = sub == sub_kth
+            room = k - np.count_nonzero(above, axis=1)[:, None]
+            keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+            cols[crossing] = np.nonzero(keep)[1].reshape(-1, k)
+    else:
+        cols = np.broadcast_to(np.arange(n), (rows, n))
+    order = np.lexsort((cols, np.take_along_axis(neg_scores, cols, axis=1)), axis=1)
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def rank_correlation_report(
@@ -141,9 +178,12 @@ def rank_correlation_report(
 
     Every shared user scores all reference items by dot product twice, once
     with its vector from each run; the two descending rankings (ties broken
-    by ascending item id) are compared with rbo at depth top_k. Returns
-    (mean over users, number of users compared).
+    by ascending item id) are compared with rbo at depth top_k. Users are
+    scored a block of rows at a time, so memory is bounded by
+    SCORE_BLOCK_ELEMENTS and not by users x items. Returns (mean over users,
+    number of users compared).
     """
+    _check_ranking(top_k, p)
     if items_ref.dim != users_a.dim or items_ref.dim != users_b.dim:
         raise DimensionMismatch(
             f"widths differ: items {items_ref.dim}, users {users_a.dim} and {users_b.dim}"
@@ -151,17 +191,24 @@ def rank_correlation_report(
     shared = np.intersect1d(users_a.ids, users_b.ids)
     if shared.size == 0:
         raise EmptyIntersection("user sets share no ids")
+    # Columns sorted by ascending item id, so a tie on score breaks toward
+    # the smaller id; ranking columns instead of ids gives the same RBO,
+    # since ids are unique. Negating the items negates every score exactly.
     item_order = np.argsort(items_ref.ids, kind="stable")
-    item_ids_sorted = items_ref.ids[item_order]
-    item_vecs = items_ref.vectors.astype(np.float64, copy=False)[item_order]
+    neg_items_t = -items_ref.vectors.astype(np.float64, copy=False)[item_order].T
     ua = users_a.vectors.astype(np.float64, copy=False)[users_a.positions(shared)]
     ub = users_b.vectors.astype(np.float64, copy=False)[users_b.positions(shared)]
-    ranked_a = _top_ranked_ids(item_ids_sorted, ua @ item_vecs.T, top_k)
-    ranked_b = _top_ranked_ids(item_ids_sorted, ub @ item_vecs.T, top_k)
-    values = [
-        rbo(ranked_a[i], ranked_b[i], p=p, depth=top_k) for i in range(shared.size)
-    ]
-    return math.fsum(values) / len(values), int(shared.size)
+    k = min(top_k, items_ref.n)
+    rows = max(1, SCORE_BLOCK_ELEMENTS // max(1, items_ref.n))
+    values = np.empty(shared.size)
+    for start in range(0, shared.size, rows):
+        block = slice(start, start + rows)
+        values[block] = _rbo_rows(
+            _top_k_columns(ua[block] @ neg_items_t, k),
+            _top_k_columns(ub[block] @ neg_items_t, k),
+            p,
+        )
+    return math.fsum(values) / values.size, int(shared.size)
 
 
 def compare_runs(
@@ -174,6 +221,7 @@ def compare_runs(
 ) -> MetricsReport:
     """Full two-run comparison: same-user cosine, same-item cosine, and mean
     RBO of rankings against run A's items."""
+    _check_ranking(top_k, p)
     user_cos, n_users = mean_same_id_cosine(users_a, users_b)
     item_cos, n_items = mean_same_id_cosine(items_a, items_b)
     mean_rbo, _ = rank_correlation_report(items_a, users_a, users_b, top_k=top_k, p=p)

@@ -15,6 +15,7 @@ from embstab import (
     write_transform,
 )
 import embstab.cli
+import embstab.metrics
 import embstab.store
 from embstab.cli import main
 from conftest import random_pair
@@ -366,6 +367,28 @@ class TestValidate:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "298. GiB" in err
+
+    @pytest.mark.parametrize(
+        "option", [["--top-k", "0"], ["--top-k", "-3"], ["--rbo-p", "1.5"]]
+    )
+    def test_bad_ranking_option_exits_2_before_scoring(
+        self, tmp_path, store_with_two_runs, monkeypatch, capsys, option
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("scored before the options were checked")
+
+        monkeypatch.setattr(embstab.metrics, "mean_same_id_cosine", never)
+        monkeypatch.setattr(embstab.metrics, "rank_correlation_report", never)
+        out = tmp_path / "rep"
+        rc = main([
+            "validate", "--run-a", "run0", "--run-b", "run1",
+            "--store", str(store_with_two_runs), "--out", str(out), *option,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_report_files_and_flat_format(self, tmp_path, store_with_two_runs):
         out = tmp_path / "rep"

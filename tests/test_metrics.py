@@ -1,9 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import embstab.metrics
 
 from embstab import (
     EmbeddingMatrix,
@@ -40,6 +44,77 @@ def rbo_bruteforce(list_a, list_b, p, depth):
         total += p ** (d - 1) * agreement
     final = len(set(la[:d_eff]) & set(lb[:d_eff])) / d_eff
     return (1 - p) * total + p**d_eff * final
+
+
+def rbo_scalar_loop(list_a, list_b, p, depth):
+    """The one-list-at-a-time RBO that the block function replaced: the
+    overlap is updated per depth and the weighted agreement summed in
+    ascending depth. Kept as the oracle for bit-identical results."""
+    la = [int(x) for x in list_a]
+    lb = [int(x) for x in list_b]
+    d_eff = min(depth, len(la), len(lb))
+    if d_eff == 0:
+        return 0.0
+    seen_a, seen_b = set(), set()
+    overlap = 0
+    acc = 0.0
+    agreement = 0.0
+    for d in range(1, d_eff + 1):
+        x, y = la[d - 1], lb[d - 1]
+        if x == y:
+            overlap += 1
+        else:
+            overlap += (x in seen_b) + (y in seen_a)
+            seen_a.add(x)
+            seen_b.add(y)
+        agreement = overlap / d
+        acc += p ** (d - 1) * agreement
+    return (1.0 - p) * acc + p**d_eff * agreement
+
+
+def rank_correlation_full_sort(items_ref, users_a, users_b, top_k, p):
+    """Mean RBO from the whole users x items score matrix, each row sorted
+    in full by a stable descending argsort over ascending item ids."""
+    shared = np.intersect1d(users_a.ids, users_b.ids)
+    item_order = np.argsort(items_ref.ids, kind="stable")
+    item_ids_sorted = items_ref.ids[item_order]
+    item_vecs = items_ref.vectors.astype(np.float64)[item_order]
+    ranked = [
+        item_ids_sorted[np.argsort(-(u.vectors.astype(np.float64)[u.positions(shared)] @ item_vecs.T),
+                                   axis=1, kind="stable")[:, :top_k]]
+        for u in (users_a, users_b)
+    ]
+    values = [rbo_scalar_loop(ranked[0][i], ranked[1][i], p, top_k) for i in range(shared.size)]
+    return math.fsum(values) / len(values), int(shared.size)
+
+
+@st.composite
+def tie_heavy_rankings(draw):
+    """Items drawn from a small pool of vectors (so many are duplicates),
+    with ids in random order; vectors on a coarse grid, so every score is
+    exact under any summation order and ties cross the top-k boundary."""
+    n_items = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 4))
+    grid = st.integers(-2, 2)
+    pool = draw(st.lists(st.lists(grid, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_items, max_size=n_items))
+    item_ids = draw(st.permutations(range(3 * n_items)))[:n_items]
+    items = EmbeddingMatrix.of_items(0.5 * np.array([pool[i] for i in picks], float), ids=item_ids)
+    n_shared = draw(st.integers(1, 30))
+    ids_a = np.arange(n_shared + draw(st.integers(0, 3)))
+    ids_b = np.concatenate([np.arange(n_shared), 1000 + np.arange(draw(st.integers(0, 3)))])
+    users = [
+        EmbeddingMatrix.of_users(
+            np.array(draw(st.lists(st.lists(grid, min_size=dim, max_size=dim),
+                                   min_size=ids.size, max_size=ids.size)), float).reshape(-1, dim),
+            ids=draw(st.permutations(ids)),
+        )
+        for ids in (ids_a, ids_b)
+    ]
+    top_k = draw(st.integers(1, n_items + 3))
+    p = draw(st.floats(0.01, 0.99))
+    budget = draw(st.integers(1, 3 * n_items))  # 1 to 3 users per block
+    return items, users[0], users[1], top_k, p, budget
 
 
 class TestMeanSameIdCosine:
@@ -181,6 +256,16 @@ class TestRbo:
         assert 0.0 <= value <= 1.0 + 1e-12
         assert value == pytest.approx(rbo_bruteforce(la, lb, p, depth), abs=1e-12)
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=60), unique=True, max_size=40),
+        st.lists(st.integers(min_value=0, max_value=60), unique=True, max_size=40),
+        st.floats(min_value=0.01, max_value=0.99),
+        st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_scalar_loop(self, la, lb, p, depth):
+        assert rbo(la, lb, p=p, depth=depth) == rbo_scalar_loop(la, lb, p, depth)
+
 
 class TestRankCorrelationReport:
     def test_identical_scorers(self):
@@ -253,6 +338,48 @@ class TestRankCorrelationReport:
             top_k=20,
         )
         assert spun == base  # dot products are preserved, rankings identical
+
+    @given(tie_heavy_rankings())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_bit_identical_to_full_sort(self, case):
+        items, users_a, users_b, top_k, p, budget = case
+        want = rank_correlation_full_sort(items, users_a, users_b, top_k, p)
+        with mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
+            assert rank_correlation_report(items, users_a, users_b, top_k=top_k, p=p) == want
+
+    def test_boundary_tie_keeps_smaller_ids(self):
+        # Under A, five items tie below item 40; under B, six tie below
+        # item 1. At k = 3 only two of them fit, and on every block they must
+        # be the two smallest ids: A ranks 40, 2, 4 and B ranks 1, 2, 4.
+        vectors = [[1.0, 0.0]] * 5 + [[2.0, 0.0], [0.0, 1.0]]
+        items = EmbeddingMatrix.of_items(vectors, ids=[9, 2, 7, 4, 30, 40, 1])
+        users_a = EmbeddingMatrix.of_users([[1.0, 0.0]] * 4, ids=[1, 2, 3, 4])
+        users_b = EmbeddingMatrix.of_users([[0.0, 1.0]] * 4, ids=[1, 2, 3, 4])
+        # Overlaps 0, 1, 2 at depths 1-3.
+        want = (0.1 * (0.0 + 0.9 * 0.5 + 0.81 * (2 / 3)) + 0.729 * (2 / 3), 4)
+        for budget in (1, 7, 15, 1 << 20):
+            with mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
+                mean, n = rank_correlation_report(items, users_a, users_b, top_k=3, p=0.9)
+            assert n == want[1]
+            assert mean == pytest.approx(want[0], abs=1e-15)
+            assert (mean, n) == rank_correlation_full_sort(items, users_a, users_b, 3, 0.9)
+
+    def test_peak_memory_set_by_block_not_users_x_items(self, rng):
+        items = EmbeddingMatrix.of_items(rng.standard_normal((20_000, 8)))
+        vectors = rng.standard_normal((4000, 8))
+        peaks = []
+        for n_users in (2000, 4000):
+            users_a = EmbeddingMatrix.of_users(vectors[:n_users])
+            users_b = EmbeddingMatrix.of_users(vectors[:n_users] + 0.1, ids=users_a.ids)
+            tracemalloc.start()
+            try:
+                rank_correlation_report(items, users_a, users_b)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        full_scores = 2000 * 20_000 * 8
+        assert peaks[0] < full_scores / 8
+        assert peaks[1] <= 1.10 * peaks[0]
 
     def test_width_mismatch(self):
         items, users = random_pair(10, 5, 4, seed=12)
