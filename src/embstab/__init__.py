@@ -36,10 +36,8 @@ from .simulator import (
     load_sim_config,
 )
 from .stabilizer import (
-    ChainEquivalenceReport,
     ReferenceSpace,
     StabilizedRun,
-    chain_equivalence_check,
     default_min_overlap,
     init_reference,
     score_product_error,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentMap",
-    "ChainEquivalenceReport",
     "EmbeddingMatrix",
     "MetricsReport",
     "ReferenceSpace",
@@ -70,7 +67,6 @@ __all__ = [
     "StabilizedRun",
     "SvdTransform",
     "apply_transform",
-    "chain_equivalence_check",
     "compare_runs",
     "default_min_overlap",
     "errors",

@@ -5,8 +5,9 @@ stabilize (map a new run into it), validate (compare two stored runs),
 apply (stream an embedding file through a stored transform). Diagnostics
 go to standard error; data goes to files. Exit codes: 0 success, 2
 validation error (bad dimensions, unknown run ids, insufficient overlap,
-rank deficiency, a zero-norm row in a compared run, a `--top-k` below 1 or
-an `--rbo-p` outside (0, 1)), 3 I/O error or out of memory.
+rank deficiency, a zero-norm row in a compared run, a `--top-k` below 1,
+an `--rbo-p` outside (0, 1) or a non-numeric config value), 3 I/O error
+(including a malformed run `meta`) or out of memory.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     EmbStabError,
     InvalidConfig,
 )
-from .lowrank import rowwise_matmul
+from .lowrank import RANK_POLICIES, rowwise_matmul
 from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
@@ -54,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", required=True, help="user embedding file (.emb)")
     p.add_argument("--run-id", required=True)
     p.add_argument("--out", required=True, help="store root directory")
-    p.add_argument("--rank-policy", choices=("strict", "truncate"), default="strict")
+    p.add_argument("--rank-policy", choices=RANK_POLICIES, default="strict")
     p.set_defaults(func=_cmd_init)
 
     p = sub.add_parser("stabilize", help="map a new run into the reference space")
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-id", required=True)
     p.add_argument("--out", required=True, help="store root directory")
     p.add_argument("--ref", default=None, help="pin a reference run id (default: latest)")
-    p.add_argument("--rank-policy", choices=("strict", "truncate"), default="strict")
+    p.add_argument("--rank-policy", choices=RANK_POLICIES, default="strict")
     p.add_argument("--min-overlap", type=int, default=None)
     p.add_argument(
         "--no-advance",
@@ -108,7 +109,7 @@ def _cmd_init(args) -> int:
     run, _ = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
     store = RunStore(args.out)
     store.init()
-    record = store.save_run(run, items, users, rank_policy=args.rank_policy)
+    record = store.save_run(run, items, users)
     store.advance_reference(record)
     print(f"initialized reference space from run {args.run_id!r}", file=sys.stderr)
     return EXIT_OK
@@ -126,7 +127,7 @@ def _cmd_stabilize(args) -> int:
         rank_policy=args.rank_policy,
         min_overlap=args.min_overlap,
     )
-    record = store.save_run(run, items, users, rank_policy=args.rank_policy)
+    record = store.save_run(run, items, users)
     if not args.no_advance:
         store.advance_reference(record)
     if run.effective_rank < run.input_dim:

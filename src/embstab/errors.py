@@ -53,10 +53,6 @@ class UnknownRun(EmbStabError):
     """No stored run with the requested id."""
 
 
-class PrecisionLoss(EmbStabError):
-    """Writing would silently downcast float64 payload data to float32."""
-
-
 class CorruptFile(EmbStabError):
     """Stored artifact failed checksum or structural validation."""
 

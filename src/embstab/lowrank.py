@@ -130,10 +130,6 @@ class SvdTransform:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, _readonly(arr))
 
-    @property
-    def rank(self) -> int:
-        return self.spectrum.shape[0]
-
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
     # R factor of the thin QR with a nonnegative diagonal, so the result is a

@@ -70,10 +70,12 @@ class SimConfig:
         for key, raw in mapping.items():
             if key == "rotation":
                 kwargs[key] = raw if isinstance(raw, Rotation) else Rotation.parse(raw)
-            elif key in ("noise_scale", "vocab_drop_fraction"):
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = int(raw)
+                continue
+            number = float if key in ("noise_scale", "vocab_drop_fraction") else int
+            try:
+                kwargs[key] = number(raw)
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"{key}: expected {number.__name__}, got {raw!r}") from exc
         try:
             return cls(**kwargs)
         except TypeError as exc:

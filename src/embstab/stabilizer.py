@@ -52,7 +52,8 @@ class StabilizedRun:
 
     item_map and user_map are the composed per-side transforms (SVD step
     times alignment); stabilized_items/users are exactly the raw inputs
-    pushed through apply_transform with those maps.
+    pushed through apply_transform with those maps. rank_policy is the
+    policy the SVD step ran under; RunStore.save_run records it.
     """
 
     run_id: str
@@ -62,6 +63,7 @@ class StabilizedRun:
     stabilized_items: EmbeddingMatrix
     stabilized_users: EmbeddingMatrix
     spectrum: np.ndarray
+    rank_policy: str
     alignment: AlignmentMap | None = None
 
     @property
@@ -83,6 +85,7 @@ def _build_run(
     items: EmbeddingMatrix,
     users: EmbeddingMatrix,
     transform: SvdTransform,
+    rank_policy: str,
     alignment: AlignmentMap | None,
 ) -> tuple[StabilizedRun, ReferenceSpace]:
     if alignment is None:
@@ -101,6 +104,7 @@ def _build_run(
         stabilized_items=stabilized_items,
         stabilized_users=stabilized_users,
         spectrum=transform.spectrum,
+        rank_policy=rank_policy,
         alignment=alignment,
     )
     return run, ReferenceSpace(run_id=run_id, anchor_items=stabilized_items)
@@ -120,7 +124,7 @@ def init_reference(
     subsequent runs.
     """
     transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
-    return _build_run(run_id, run_id, items, users, transform, alignment=None)
+    return _build_run(run_id, run_id, items, users, transform, rank_policy, alignment=None)
 
 
 def stabilize_run(
@@ -162,7 +166,7 @@ def stabilize_run(
     anchor = ref.anchor_items
     target = anchor.vectors[anchor.positions(shared)].astype(np.float64, copy=False)
     alignment = ortho_procrustes(source, target)
-    return _build_run(run_id, ref.run_id, items, users, transform, alignment)
+    return _build_run(run_id, ref.run_id, items, users, transform, rank_policy, alignment)
 
 
 def score_product_error(
@@ -195,61 +199,3 @@ def score_product_error(
     gap = np.linalg.norm(t_hat @ w_hat.T - raw)
     denom = np.linalg.norm(raw)
     return float(gap / denom) if denom > 0 else float(gap)
-
-
-@dataclass(frozen=True)
-class ChainEquivalenceReport:
-    """Frobenius gaps between stabilizing a run directly against the seed
-    reference versus through a chained intermediate reference."""
-
-    item_gap: float
-    user_gap: float
-    item_gap_rel: float
-    user_gap_rel: float
-
-
-def chain_equivalence_check(
-    run0: tuple[EmbeddingMatrix, EmbeddingMatrix],
-    run1: tuple[EmbeddingMatrix, EmbeddingMatrix],
-    run2: tuple[EmbeddingMatrix, EmbeddingMatrix],
-    rank_policy: str = "strict",
-    min_overlap: int | None = None,
-) -> ChainEquivalenceReport:
-    """Stabilize run2 twice, once against run0's reference and once against
-    the reference chained through run1, and report the output gaps.
-
-    All three runs must share the same id vocabulary. The gaps vanish only
-    when successive runs are exact orthogonal transforms of one another;
-    for noisy runs this measures, but does not bound, the chaining error.
-    """
-    for run in (run1, run2):
-        for a, b in zip(run0, run):
-            if not np.array_equal(np.sort(a.ids), np.sort(b.ids)):
-                raise DimensionMismatch("chain equivalence requires a fixed id vocabulary")
-
-    _, ref0 = init_reference(*run0, run_id="chain-seed", rank_policy=rank_policy)
-    direct, _ = stabilize_run(
-        *run2, ref0, run_id="chain-direct", rank_policy=rank_policy, min_overlap=min_overlap
-    )
-    _, ref1 = stabilize_run(
-        *run1, ref0, run_id="chain-intermediate", rank_policy=rank_policy, min_overlap=min_overlap
-    )
-    chained, _ = stabilize_run(
-        *run2, ref1, run_id="chain-chained", rank_policy=rank_policy, min_overlap=min_overlap
-    )
-
-    item_gap, item_gap_rel = _gap(direct.stabilized_items, chained.stabilized_items)
-    user_gap, user_gap_rel = _gap(direct.stabilized_users, chained.stabilized_users)
-    return ChainEquivalenceReport(
-        item_gap=item_gap,
-        user_gap=user_gap,
-        item_gap_rel=item_gap_rel,
-        user_gap_rel=user_gap_rel,
-    )
-
-
-def _gap(direct: EmbeddingMatrix, chained: EmbeddingMatrix) -> tuple[float, float]:
-    """Frobenius distance between two outputs, absolute and relative to direct."""
-    gap = float(np.linalg.norm(direct.vectors.astype(np.float64) - chained.vectors))
-    norm = float(np.linalg.norm(direct.vectors))
-    return gap, gap / norm if norm > 0 else gap

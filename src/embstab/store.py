@@ -57,7 +57,6 @@ from .errors import (
     ConcurrentWriter,
     CorruptFile,
     InvalidRunId,
-    PrecisionLoss,
     UnknownRun,
 )
 from .lowrank import EmbeddingMatrix, Role
@@ -77,8 +76,6 @@ _HASH_BLOCK_BYTES = 1 << 24
 _EMB_HEADER = struct.Struct("<4sHBBQII")
 _TRF_HEADER = struct.Struct("<4sHI")
 
-_ROLE_TO_BYTE = {Role.ITEM: 0, Role.USER: 1}
-_BYTE_TO_ROLE = {0: Role.ITEM, 1: Role.USER}
 _PRECISION_TO_DTYPE = {4: np.float32, 8: np.float64}
 
 _RUN_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -103,7 +100,7 @@ def open_embeddings(path):
             raise CorruptFile(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
             raise CorruptFile(f"{path}: unsupported format version {version}")
-        if role_byte not in _BYTE_TO_ROLE:
+        if role_byte not in (role.value for role in Role):
             raise CorruptFile(f"{path}: unknown role byte {role_byte}")
         if precision not in _PRECISION_TO_DTYPE:
             raise CorruptFile(f"{path}: unknown precision byte {precision}")
@@ -130,7 +127,7 @@ def open_embeddings(path):
             if fh.read(DIGEST_SIZE + 1) != digest.digest():
                 raise CorruptFile(f"{path}: checksum mismatch")
 
-        yield _BYTE_TO_ROLE[role_byte], precision, count, dim, chunks()
+        yield Role(role_byte), precision, count, dim, chunks()
 
 
 def _write_sealed(path, header: bytes, body) -> str:
@@ -173,27 +170,15 @@ def write_embedding_chunks(path, role: Role, precision: int, count: int, dim: in
             raise ValueError(f"{path}: {written} rows written, {count} declared")
 
     header = _EMB_HEADER.pack(
-        EMB_MAGIC, FORMAT_VERSION, _ROLE_TO_BYTE[role], precision, count, dim, 0
+        EMB_MAGIC, FORMAT_VERSION, role.value, precision, count, dim, 0
     )
     return _write_sealed(path, header, records())
 
 
-def write_embeddings(emb: EmbeddingMatrix, path, precision: int | None = None) -> str:
-    """Write an embedding matrix; returns the hex sha256 of the file body.
-
-    precision defaults to the matrix's own dtype width. Requesting 4 for
-    float64 data raises PrecisionLoss: downcasts must be explicit casts by
-    the caller, never a side effect of writing.
-    """
-    native = emb.vectors.dtype.itemsize
-    if precision is None:
-        precision = native
-    if precision not in _PRECISION_TO_DTYPE:
-        raise ValueError(f"precision must be 4 or 8, got {precision}")
-    if precision < native:
-        raise PrecisionLoss(
-            f"refusing to downcast float{native * 8} embeddings to float{precision * 8}"
-        )
+def write_embeddings(emb: EmbeddingMatrix, path) -> str:
+    """Write an embedding matrix at its own precision (float32 or float64),
+    so a write never downcasts; returns the hex sha256 of the file body."""
+    precision = emb.vectors.dtype.itemsize
     chunks = [(emb.ids, emb.vectors)]
     return write_embedding_chunks(path, emb.role, precision, emb.n, emb.dim, chunks)
 
@@ -288,10 +273,10 @@ class RunStore:
         run: StabilizedRun,
         raw_items: EmbeddingMatrix,
         raw_users: EmbeddingMatrix,
-        rank_policy: str = "strict",
     ) -> RunRecord:
-        """Persist one stabilized run. The run directory is append-only:
-        saving an existing run id fails rather than rewriting history."""
+        """Persist one stabilized run, recording the rank policy it ran under.
+        The run directory is append-only: saving an existing run id fails
+        rather than rewriting history."""
         directory = self.run_dir(run.run_id)
         self.init()
         staging = self.runs_dir / f".staging-{run.run_id}"
@@ -316,7 +301,7 @@ class RunStore:
                 dim=run.output_dim,
                 effective_rank=run.effective_rank,
                 spectrum=tuple(float(s) for s in run.spectrum),
-                rank_policy=rank_policy,
+                rank_policy=run.rank_policy,
                 files=files,
             )
             (staging / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
@@ -327,9 +312,12 @@ class RunStore:
         meta_path = self.run_dir(run_id) / "meta"
         if not meta_path.exists():
             raise UnknownRun(f"no stored run {run_id!r}")
-        data = json.loads(meta_path.read_text())
-        data["spectrum"] = tuple(data["spectrum"])
-        return RunRecord(**data)
+        try:
+            data = json.loads(meta_path.read_text())
+            data["spectrum"] = tuple(data["spectrum"])
+            return RunRecord(**data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptFile(f"{meta_path}: malformed run record: {exc!r}") from exc
 
     def list_runs(self) -> list[str]:
         # Run ids never start with ".", staging directories always do.

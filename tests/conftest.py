@@ -1,12 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
-from embstab import EmbeddingMatrix
+from embstab import EmbeddingMatrix, init_reference, stabilize_run
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# Ways to damage a run's JSON `meta` file, by name: text in, text out.
+MALFORMED_META = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "no_spectrum": lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "spectrum"}
+    ),
+    "unknown_key": lambda text: json.dumps({**json.loads(text), "bogus": 1}),
+}
 
 
 def random_pair(n, m, dim, seed=0, dtype=np.float64):
@@ -28,3 +40,20 @@ def random_orthogonal(dim, seed=0):
 def rel_fro(a, b):
     """Relative Frobenius distance ||a - b|| / ||b||."""
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def chain_gaps(run0, run1, run2):
+    """Stabilize the (items, users) pair run2 against run0's reference, once
+    directly and once through run1's chained reference; returns the
+    Frobenius gaps between the two outputs as (items, users)."""
+    _, ref0 = init_reference(*run0, "chain-seed")
+    direct, _ = stabilize_run(*run2, ref0, "chain-direct")
+    _, ref1 = stabilize_run(*run1, ref0, "chain-intermediate")
+    chained, _ = stabilize_run(*run2, ref1, "chain-chained")
+    pairs = [
+        (direct.stabilized_items, chained.stabilized_items),
+        (direct.stabilized_users, chained.stabilized_users),
+    ]
+    return tuple(
+        float(np.linalg.norm(a.vectors.astype(np.float64) - b.vectors)) for a, b in pairs
+    )

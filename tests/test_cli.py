@@ -18,7 +18,7 @@ import embstab.cli
 import embstab.metrics
 import embstab.store
 from embstab.cli import main
-from conftest import random_pair
+from conftest import MALFORMED_META, random_pair
 
 
 SIM_CFG = (
@@ -95,6 +95,17 @@ class TestSimulate:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n_items = 5\nn_users = 5\ndim = 50\nseed = 0\n")
         assert main(["simulate", "--config", str(cfg), "--runs", "1", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("line", ["dim = 8.5", "noise_scale = lots"])
+    def test_non_numeric_value_exits_2_with_one_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CFG + line + "\n")
+        rc = main(["simulate", "--config", str(cfg), "--runs", "1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert line.split(" = ")[0] in err
 
     def test_missing_config_exits_3(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--runs", "1",
@@ -265,6 +276,9 @@ class TestStabilize:
         meta = json.loads((store / "runs" / "run1t" / "meta").read_text())
         assert meta["effective_rank"] == 7
         assert meta["dim"] == 8  # output lands in the full reference space
+        assert meta["rank_policy"] == "truncate"
+        init_meta = json.loads((store / "runs" / "run0" / "meta").read_text())
+        assert init_meta["rank_policy"] == "strict"
 
         rc_strict = main([
             "stabilize",
@@ -331,6 +345,29 @@ class TestPipelineProperties:
         meta_a.pop("created_at")
         meta_b.pop("created_at")
         assert meta_a == meta_b
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_META))
+@pytest.mark.parametrize("command", ["validate", "stabilize"])
+def test_malformed_meta_exits_3_with_one_line(
+    tmp_path, sim_dir, store_with_two_runs, capsys, command, damage
+):
+    meta = store_with_two_runs / "runs" / "run1" / "meta"
+    meta.write_text(MALFORMED_META[damage](meta.read_text()))
+    capsys.readouterr()
+    if command == "validate":
+        argv = ["validate", "--run-a", "run0", "--run-b", "run1",
+                "--store", str(store_with_two_runs), "--out", str(tmp_path / "rep")]
+    else:
+        argv = ["stabilize",
+                "--items", str(sim_dir / "run_002.items.emb"),
+                "--users", str(sim_dir / "run_002.users.emb"),
+                "--run-id", "run2", "--out", str(store_with_two_runs)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert str(meta) in err
 
 
 class TestValidate:

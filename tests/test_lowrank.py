@@ -175,7 +175,7 @@ class TestLowRankSvdTrans:
         users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((15, 3)))
         with pytest.warns(RankTruncationWarning):
             tr = low_rank_svd_trans(items, users, rank_policy="truncate")
-        assert tr.rank == 2
+        assert tr.spectrum.size == 2
         assert tr.item_map.shape == (3, 2)
         score = items.vectors @ users.vectors.T
         rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
@@ -196,7 +196,7 @@ class TestLowRankSvdTrans:
             low_rank_svd_trans(items, users)
         with pytest.warns(RankTruncationWarning):
             tr = low_rank_svd_trans(items, users, rank_policy="truncate")
-        assert tr.rank == 3
+        assert tr.spectrum.size == 3
         score = items.vectors @ users.vectors.T
         rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
         assert rel_fro(rebuilt, score) < 1e-10

@@ -1,10 +1,15 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
 import embstab
 
 # The package's public surface. Adding, removing or renaming an export must
 # edit this list on purpose.
 PUBLIC_NAMES = [
     "AlignmentMap",
-    "ChainEquivalenceReport",
     "EmbeddingMatrix",
     "MetricsReport",
     "ReferenceSpace",
@@ -16,7 +21,6 @@ PUBLIC_NAMES = [
     "StabilizedRun",
     "SvdTransform",
     "apply_transform",
-    "chain_equivalence_check",
     "compare_runs",
     "default_min_overlap",
     "errors",
@@ -45,3 +49,32 @@ def test_all_is_pinned_and_resolves():
     assert sorted(embstab.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(embstab, name), name
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _load_tracer()
+
+
+@pytest.mark.parametrize("module", TRACER.MODULES)
+def test_benchmark_tracer_module_imports(module):
+    importlib.import_module(f"embstab.{module}")
+
+
+@pytest.mark.parametrize("target", TRACER.TARGETS, ids=lambda t: t[0])
+def test_benchmark_tracer_target_resolves(target):
+    # Resolved as Tracer.install resolves it: a method through the class
+    # __dict__, a function through the module.
+    _, module, attr, _ = target
+    owner = importlib.import_module(f"embstab.{module}")
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        assert callable(getattr(owner, cls_name).__dict__[method])
+    else:
+        assert callable(getattr(owner, attr))

@@ -3,7 +3,6 @@ import pytest
 
 from embstab import (
     EmbeddingMatrix,
-    chain_equivalence_check,
     default_min_overlap,
     init_reference,
     low_rank_svd_trans,
@@ -12,7 +11,7 @@ from embstab import (
     stabilize_run,
 )
 from embstab.errors import DimensionMismatch, InsufficientOverlap
-from conftest import random_orthogonal, random_pair, rel_fro
+from conftest import chain_gaps, random_orthogonal, random_pair, rel_fro
 
 
 def stabilized_product_error(run, items, users):
@@ -269,15 +268,15 @@ class TestChainEquivalence:
             EmbeddingMatrix.of_items(items.vectors @ g2, ids=items.ids),
             EmbeddingMatrix.of_users(users.vectors @ g2, ids=users.ids),
         )
-        report = chain_equivalence_check((items, users), run1, run2)
-        assert report.item_gap < 1e-8
-        assert report.user_gap < 1e-8
+        item_gap, user_gap = chain_gaps((items, users), run1, run2)
+        assert item_gap < 1e-8
+        assert user_gap < 1e-8
 
     def test_degenerate_chain_through_identical_run(self):
         items, users = random_pair(50, 40, 8, seed=37)
-        report = chain_equivalence_check((items, users), (items, users), (items, users))
-        assert report.item_gap < 1e-10
-        assert report.user_gap < 1e-10
+        item_gap, user_gap = chain_gaps((items, users), (items, users), (items, users))
+        assert item_gap < 1e-10
+        assert user_gap < 1e-10
 
     def test_noisy_chain_reports_without_asserting(self):
         gen = np.random.default_rng(38)
@@ -296,15 +295,8 @@ class TestChainEquivalence:
             perturb(items, EmbeddingMatrix.of_items),
             perturb(users, EmbeddingMatrix.of_users),
         )
-        report = chain_equivalence_check((items, users), run1, run2)
-        # Measurement only: the gap is finite and the relative form is sane.
-        assert np.isfinite(report.item_gap)
-        assert 0 <= report.item_gap_rel < 1.0
-
-    def test_vocabulary_must_match(self):
-        items, users = random_pair(30, 25, 4, seed=39)
-        other = EmbeddingMatrix.of_items(
-            items.vectors, ids=np.arange(100, 130, dtype=np.uint64)
-        )
-        with pytest.raises(DimensionMismatch):
-            chain_equivalence_check((items, users), (other, users), (items, users))
+        item_gap, _ = chain_gaps((items, users), run1, run2)
+        # Noise makes chaining inexact but keeps it far below the output's
+        # own size; ||stabilized items||_F^2 is the sum of the spectrum.
+        scale = np.sqrt(low_rank_svd_trans(*run2).spectrum.sum())
+        assert 0 < item_gap / scale < 1.0

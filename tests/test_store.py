@@ -28,11 +28,11 @@ from embstab.errors import (
     ConcurrentWriter,
     CorruptFile,
     InvalidRunId,
-    PrecisionLoss,
+    RankTruncationWarning,
     UnknownRun,
 )
 from embstab.store import write_embedding_chunks
-from conftest import random_pair
+from conftest import MALFORMED_META, random_pair
 
 
 def sample_emb(n=5, dim=3, dtype=np.float64, role=Role.ITEM, seed=0):
@@ -76,20 +76,6 @@ class TestEmbeddingFormat:
         assert path.stat().st_size == 24 + 32
         back = read_embeddings(path)
         assert back.n == 0 and back.dim == 4
-
-    def test_float64_with_precision_4_is_precision_loss(self, tmp_path):
-        emb = sample_emb(dtype=np.float64)
-        with pytest.raises(PrecisionLoss):
-            write_embeddings(emb, tmp_path / "e.emb", precision=4)
-        assert not (tmp_path / "e.emb").exists()  # no partial file left
-
-    def test_float32_upcast_to_precision_8_allowed(self, tmp_path):
-        emb = sample_emb(dtype=np.float32)
-        path = tmp_path / "e.emb"
-        write_embeddings(emb, path, precision=8)
-        back = read_embeddings(path)
-        assert back.vectors.dtype == np.float64
-        assert np.array_equal(back.vectors, emb.vectors.astype(np.float64))
 
     def test_flipped_payload_byte_detected(self, tmp_path):
         emb = sample_emb(seed=2)
@@ -477,6 +463,46 @@ class TestRunStore:
             store.run_dir("../evil")
         with pytest.raises(InvalidRunId):
             store.run_dir(".hidden")
+
+    def test_record_keeps_the_policy_the_run_ran_under(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        items, users = random_pair(40, 30, 4, seed=0)
+        run0, ref = init_reference(items, users, "run0")
+        assert store.save_run(run0, items, users).rank_policy == "strict"
+        vecs = items.vectors.copy()
+        vecs[:, 3] = vecs[:, 0]  # rank 3 of 4
+        items1 = EmbeddingMatrix.of_items(vecs, ids=items.ids)
+        with pytest.warns(RankTruncationWarning):
+            run1, _ = stabilize_run(items1, users, ref, "run1", rank_policy="truncate")
+        record = store.save_run(run1, items1, users)
+        assert record.effective_rank == 3
+        assert record.rank_policy == "truncate"
+        assert store.load_record("run1").rank_policy == "truncate"
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_META))
+    def test_malformed_meta_is_corrupt_file_naming_it(self, tmp_path, damage):
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        meta = store.run_dir("run0") / "meta"
+        meta.write_text(MALFORMED_META[damage](meta.read_text()))
+        with pytest.raises(CorruptFile) as exc:
+            store.load_record("run0")
+        assert str(meta) in str(exc.value)
+
+    def test_meta_in_the_original_layout_loads(self, tmp_path):
+        # The keys and JSON layout of `meta` as every earlier version wrote it.
+        store = RunStore(tmp_path / "store")
+        store.run_dir("old").mkdir(parents=True)
+        (store.run_dir("old") / "meta").write_text(
+            '{\n  "run_id": "old",\n  "reference_run_id": "old",\n'
+            '  "created_at": "2025-01-01T00:00:00+00:00",\n  "dim": 2,\n'
+            '  "effective_rank": 2,\n  "spectrum": [\n    2.0,\n    0.5\n  ],\n'
+            '  "rank_policy": "strict",\n  "files": {\n    "items.emb": "ab"\n  },\n'
+            '  "anchor": "items.emb",\n  "checksum_algorithm": "sha256"\n}\n'
+        )
+        record = store.load_record("old")
+        assert record.spectrum == (2.0, 0.5)
+        assert record.rank_policy == "strict"
+        assert record.files == {"items.emb": "ab"}
 
     def test_spectrum_survives_json_round_trip(self, tmp_path):
         store, records = make_store_with_runs(tmp_path, n_runs=1)
