@@ -7,6 +7,15 @@ coordinates of X scaled by the square root of its singular values, while
 every user-item dot product is preserved. Only the R factors of the thin
 QR of T and W enter an e x e SVD, so the cost is linear in n and m at
 fixed e and the score matrix is never materialized.
+
+Each R factor comes from a fixed-block TSQR (Demmel et al., SISC 2012):
+the rows are cut, in order, into consecutive blocks of QR_BLOCK_ROWS rows
+(at least 2e), each block is reduced to its own R by Householder QR, the
+block R factors are stacked in the same order, and this repeats until at
+most one block is left for a last QR. The block order depends only on the
+row count and e, so R is a deterministic function of the rows in their
+order, whatever pieces they were read in; a side of at most one block
+takes the single QR alone.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from .errors import (
 
 # Singular values below this fraction of the largest are treated as zero.
 SV_TRUNCATION_RTOL = 1e-12
+
+# Rows per block of the R-factor TSQR, raised to 2e for wider inputs.
+# store.CHUNK_ROWS is a multiple of it, so streamed chunks hold whole blocks.
+QR_BLOCK_ROWS = 1024
 
 RANK_POLICIES = ("strict", "truncate")
 
@@ -67,7 +80,8 @@ class EmbeddingMatrix:
             raise DimensionMismatch(
                 f"{ids.shape[0] if ids.ndim == 1 else ids.shape} ids for {vectors.shape[0]} rows"
             )
-        if np.unique(ids).size != ids.size:
+        sorted_ids = np.sort(ids)
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise DuplicateId(f"{self.role.name.lower()} ids are not unique")
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise NonFinite(f"{self.role.name.lower()} vectors contain NaN or Inf")
@@ -131,10 +145,22 @@ class SvdTransform:
             object.__setattr__(self, name, _readonly(arr))
 
 
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    return np.linalg.qr(a.astype(np.float64, copy=False), mode="r")
+
+
 def _r_factor(a: np.ndarray) -> np.ndarray:
-    # R factor of the thin QR with a nonnegative diagonal, so the result is a
-    # deterministic function of the input; Q is never materialized.
-    r = np.linalg.qr(a, mode="r")
+    # R factor of the thin QR of `a`, in float64, by fixed-block TSQR: each
+    # pass replaces consecutive blocks of `block` rows, top to bottom, by
+    # their stacked R factors. A block of at least 2e rows yields at most e,
+    # so every pass shrinks the matrix. One last QR takes what is left (all
+    # of `a` when it fits one block, exactly as a one-shot QR would). Its
+    # diagonal is then made nonnegative, so R is a deterministic function of
+    # the rows in order; Q is never materialized.
+    block = max(QR_BLOCK_ROWS, 2 * a.shape[1])
+    while a.shape[0] > block:
+        a = np.concatenate([_qr_r(a[i : i + block]) for i in range(0, a.shape[0], block)])
+    r = _qr_r(a)
     signs = np.sign(np.diag(r)).copy()
     signs[signs == 0] = 1.0
     return signs[:, None] * r
@@ -192,12 +218,11 @@ def low_rank_svd_trans(
     if rank_policy not in RANK_POLICIES:
         raise ValueError(f"rank_policy must be one of {RANK_POLICIES}, got {rank_policy!r}")
     _check_pair(items, users)
-    # All decomposition work in float64: the inverse square root of the
-    # spectrum amplifies rounding error at lower precision.
-    t = items.vectors.astype(np.float64, copy=False)
-    w = users.vectors.astype(np.float64, copy=False)
-    r_t = _r_factor(t)
-    r_w = _r_factor(w)
+    # All decomposition work in float64 (_r_factor casts block by block):
+    # the inverse square root of the spectrum amplifies rounding error at
+    # lower precision.
+    r_t = _r_factor(items.vectors)
+    r_w = _r_factor(users.vectors)
     u, s, vt = _canonical_svd(r_t @ r_w.T)
 
     dim = items.dim

@@ -74,7 +74,7 @@ def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, 
     """
     if a.role is not b.role:
         raise RoleMismatch(f"cannot compare roles {a.role.name} and {b.role.name}")
-    shared = np.intersect1d(a.ids, b.ids)
+    shared = np.intersect1d(a.ids, b.ids, assume_unique=True)
     if shared.size == 0:
         raise EmptyIntersection("inputs share no ids")
     va = a.vectors.astype(np.float64, copy=False)[a.positions(shared)]
@@ -188,7 +188,7 @@ def rank_correlation_report(
         raise DimensionMismatch(
             f"widths differ: items {items_ref.dim}, users {users_a.dim} and {users_b.dim}"
         )
-    shared = np.intersect1d(users_a.ids, users_b.ids)
+    shared = np.intersect1d(users_a.ids, users_b.ids, assume_unique=True)
     if shared.size == 0:
         raise EmptyIntersection("user sets share no ids")
     # Columns sorted by ascending item id, so a tie on score breaks toward

@@ -73,8 +73,13 @@ class SimConfig:
                 continue
             number = float if key in ("noise_scale", "vocab_drop_fraction") else int
             try:
+                if isinstance(raw, (bool, np.bool_)):
+                    raise TypeError("bool is not a number here")
                 kwargs[key] = number(raw)
-            except (TypeError, ValueError) as exc:
+                # Config-file strings parse as before; a number must not round.
+                if number is int and not isinstance(raw, str) and kwargs[key] != raw:
+                    raise ValueError("would round")
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidConfig(f"{key}: expected {number.__name__}, got {raw!r}") from exc
         try:
             return cls(**kwargs)

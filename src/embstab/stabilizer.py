@@ -155,7 +155,7 @@ def stabilize_run(
         min_overlap = default_min_overlap(items.dim)
     transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
 
-    shared = np.intersect1d(items.ids, ref.anchor_items.ids)
+    shared = np.intersect1d(items.ids, ref.anchor_items.ids, assume_unique=True)
     if shared.size < min_overlap:
         raise InsufficientOverlap(
             f"{shared.size} shared item ids with reference {ref.run_id!r}, "

@@ -47,7 +47,7 @@ import re
 import shutil
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -78,7 +78,8 @@ _TRF_HEADER = struct.Struct("<4sHI")
 
 _PRECISION_TO_DTYPE = {4: np.float32, 8: np.float64}
 
-_RUN_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+# Run ids and the file names a run record lists: one path component.
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def _record_dtype(dim: int, precision: int) -> np.dtype:
@@ -242,6 +243,27 @@ class RunRecord:
     checksum_algorithm: str = CHECKSUM_ALGORITHM
 
 
+def _check_record(record: RunRecord, run_id: str) -> None:
+    """Raise ValueError unless every field of a loaded record has its JSON
+    type, its run_id names its own directory, and every file it names, the
+    anchor included, is a plain file name listed in `files`, so a record
+    can only point inside its own run."""
+    for field in fields(RunRecord):
+        value = getattr(record, field.name)
+        kind = {"str": str, "int": int, "tuple": tuple, "dict": dict}[field.type]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{field.name} is not a JSON {kind.__name__}: {value!r}")
+    if record.run_id != run_id:
+        raise ValueError(f"run_id {record.run_id!r} != its directory {run_id!r}")
+    if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in record.spectrum):
+        raise ValueError(f"spectrum holds a non-number: {record.spectrum!r}")
+    for name, digest in record.files.items():
+        if not _PLAIN_NAME.fullmatch(name) or not isinstance(digest, str):
+            raise ValueError(f"files entry {name!r}: {digest!r}")
+    if record.anchor not in record.files:
+        raise ValueError(f"anchor {record.anchor!r} is not one of the run's files")
+
+
 class RunStore:
     """Directory-backed store of stabilized runs and the reference pointer.
 
@@ -264,7 +286,7 @@ class RunStore:
         self.runs_dir.mkdir(parents=True, exist_ok=True)
 
     def run_dir(self, run_id: str) -> Path:
-        if not _RUN_ID_PATTERN.match(run_id):
+        if not _PLAIN_NAME.fullmatch(run_id):
             raise InvalidRunId(f"run id {run_id!r} is not a safe directory name")
         return self.runs_dir / run_id
 
@@ -315,9 +337,11 @@ class RunStore:
         try:
             data = json.loads(meta_path.read_text())
             data["spectrum"] = tuple(data["spectrum"])
-            return RunRecord(**data)
+            record = RunRecord(**data)
+            _check_record(record, run_id)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFile(f"{meta_path}: malformed run record: {exc!r}") from exc
+        return record
 
     def list_runs(self) -> list[str]:
         # Run ids never start with ".", staging directories always do.

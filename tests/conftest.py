@@ -18,6 +18,22 @@ MALFORMED_META = {
         {k: v for k, v in json.loads(text).items() if k != "spectrum"}
     ),
     "unknown_key": lambda text: json.dumps({**json.loads(text), "bogus": 1}),
+    "anchor_not_a_string": lambda text: json.dumps({**json.loads(text), "anchor": 5}),
+    # Another run's anchor, reached from inside this run's directory.
+    "anchor_outside_run": lambda text: json.dumps(
+        {**json.loads(text), "anchor": "../run0/items.emb"}
+    ),
+    "listed_file_outside_run": lambda text: json.dumps(
+        {
+            **json.loads(text),
+            "anchor": "../run0/items.emb",
+            "files": {**json.loads(text)["files"], "../run0/items.emb": "00"},
+        }
+    ),
+    "run_id_of_another_run": lambda text: json.dumps({**json.loads(text), "run_id": "run9"}),
+    "dim_not_an_int": lambda text: json.dumps({**json.loads(text), "dim": 8.5}),
+    "rank_a_bool": lambda text: json.dumps({**json.loads(text), "effective_rank": True}),
+    "spectrum_of_strings": lambda text: json.dumps({**json.loads(text), "spectrum": ["1.0"]}),
 }
 
 

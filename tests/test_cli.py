@@ -370,6 +370,23 @@ def test_malformed_meta_exits_3_with_one_line(
     assert str(meta) in err
 
 
+def test_pinned_reference_with_anchor_of_another_run_exits_3(
+    sim_dir, store_with_two_runs, capsys
+):
+    # An anchor path that leaves run1's directory would align to run0's
+    # items while recording run1 as the reference.
+    meta = store_with_two_runs / "runs" / "run1" / "meta"
+    meta.write_text(MALFORMED_META["anchor_outside_run"](meta.read_text()))
+    capsys.readouterr()
+    assert main([
+        "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
+        "--users", str(sim_dir / "run_002.users.emb"),
+        "--run-id", "run2", "--out", str(store_with_two_runs), "--ref", "run1",
+    ]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (store_with_two_runs / "runs" / "run2").exists()
+
+
 class TestValidate:
     def test_run_against_itself_is_unity(self, tmp_path, store_with_two_runs):
         out = tmp_path / "self"

@@ -10,6 +10,7 @@ from embstab import (
     low_rank_svd_trans,
     rowwise_matmul,
 )
+from embstab import lowrank
 from embstab.errors import (
     DimensionMismatch,
     DuplicateId,
@@ -61,6 +62,18 @@ class TestEmbeddingMatrix:
     def test_int_input_upcast_to_float64(self):
         emb = EmbeddingMatrix.of_items(np.eye(2, dtype=int))
         assert emb.vectors.dtype == np.float64
+
+    # Small ids repeat often; the rest sit anywhere in the uint64 range.
+    @given(ids=st.lists(st.one_of(st.integers(0, 20), st.integers(0, 2**64 - 1)), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_duplicate_check_agrees_with_unique(self, ids):
+        ids = np.array(ids, dtype=np.uint64)
+        vectors = np.zeros((ids.size, 2))
+        if np.unique(ids).size != ids.size:
+            with pytest.raises(DuplicateId):
+                EmbeddingMatrix.of_users(vectors, ids=ids)
+        else:
+            assert np.array_equal(EmbeddingMatrix.of_users(vectors, ids=ids).ids, ids)
 
 
 # Frozen from a dense SVD of the materialized 3x2 product
@@ -215,6 +228,103 @@ class TestLowRankSvdTrans:
         tr = low_rank_svd_trans(items, users)
         dense = np.linalg.svd(items.vectors @ users.vectors.T, compute_uv=False)[:dim]
         np.testing.assert_allclose(tr.spectrum, dense, rtol=1e-8)
+
+
+def signed_one_shot_r(a):
+    """Oracle for lowrank._r_factor: LAPACK's R of all rows at once, in
+    float64, with each row's sign flipped to make the diagonal nonnegative."""
+    r = np.linalg.qr(np.asarray(a, dtype=np.float64), mode="r")
+    return np.where(np.diag(r) < 0, -1.0, 1.0)[:, None] * r
+
+
+def check_r_factor(r, a):
+    """R is upper-triangular with a nonnegative diagonal, has the shape of
+    the thin QR's R, and has the Gram matrix and singular values of a."""
+    a = np.asarray(a, dtype=np.float64)
+    assert r.dtype == np.float64
+    assert r.shape == (min(a.shape), a.shape[1])
+    assert np.array_equal(np.triu(r), r)
+    assert np.all(np.diag(r) >= 0)
+    scale = max(np.linalg.norm(a) ** 2, 1e-300)
+    assert np.linalg.norm(r.T @ r - a.T @ a) <= 1e-13 * scale
+    sv = np.linalg.svd(r, compute_uv=False)
+    sv_oracle = np.linalg.svd(signed_one_shot_r(a), compute_uv=False)
+    assert np.allclose(sv, sv_oracle, rtol=0, atol=1e-13 * max(sv_oracle[0], 1e-300))
+
+
+class TestRFactor:
+    # With 8-row blocks, a few dozen rows take several passes of the tree.
+    @given(
+        e=st.integers(min_value=1, max_value=6),
+        blocks=st.integers(min_value=0, max_value=12),
+        offset=st.integers(min_value=-2, max_value=2),
+        f32=st.booleans(),
+        rank_drop=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tree_matches_one_shot_qr(self, e, blocks, offset, f32, rank_drop):
+        block = max(8, 2 * e)
+        n = max(1, blocks * block + offset)
+        rank = max(0, min(n, e) - rank_drop)
+        gen = np.random.default_rng([e, n, rank])
+        # Exact rank `rank`: every column a combination of `rank` columns.
+        a = gen.standard_normal((n, rank)) @ gen.standard_normal((rank, e))
+        a = a.astype(np.float32 if f32 else np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lowrank, "QR_BLOCK_ROWS", 8)
+            r = lowrank._r_factor(a)
+        check_r_factor(r, a)
+        if rank == e:
+            # Unique for full column rank; rounding grows with the condition.
+            oracle = signed_one_shot_r(a)
+            assert rel_fro(r, oracle) <= 1e-14 * np.linalg.cond(oracle)
+
+    @pytest.mark.parametrize("f32", [False, True])
+    @pytest.mark.parametrize("n, e", [(1, 3), (5, 5), (700, 64), (1024, 16), (1024, 512)])
+    def test_one_block_is_the_one_shot_qr_bit_for_bit(self, n, e, f32):
+        a = np.random.default_rng([n, e]).standard_normal((n, e))
+        a = a.astype(np.float32 if f32 else np.float64)
+        assert n <= lowrank.QR_BLOCK_ROWS
+        assert np.array_equal(lowrank._r_factor(a), signed_one_shot_r(a))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4])
+    def test_block_below_twice_the_width_still_ends(self, block_rows):
+        # Blocks of fewer than 2e rows would not shrink the matrix; the
+        # block is raised to 2e, so the tree ends. Counting the QR calls
+        # turns an endless loop into a failure.
+        a = np.random.default_rng(block_rows).standard_normal((300, 5))
+        one_shot_qr = np.linalg.qr
+        calls = []
+
+        def counted_qr(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) < 1000, "R-factor tree does not shrink"
+            return one_shot_qr(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lowrank, "QR_BLOCK_ROWS", block_rows)
+            mp.setattr(np.linalg, "qr", counted_qr)
+            r = lowrank._r_factor(a)
+        check_r_factor(r, a)
+        assert rel_fro(r, signed_one_shot_r(a)) < 1e-13
+
+    def test_truncate_over_several_blocks(self, monkeypatch):
+        # The truncate policy sees an exact rank deficiency through the tree.
+        monkeypatch.setattr(lowrank, "QR_BLOCK_ROWS", 8)
+        vecs = np.random.default_rng(0).standard_normal((100, 3))
+        vecs[:, 2] = vecs[:, 0] - vecs[:, 1]  # rank 2 of 3
+        items = EmbeddingMatrix.of_items(vecs)
+        users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((90, 3)))
+        with pytest.raises(RankDeficient):
+            low_rank_svd_trans(items, users)
+        with pytest.warns(RankTruncationWarning):
+            tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+        assert tr.spectrum.size == 2
+        score = items.vectors @ users.vectors.T
+        rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
+        assert rel_fro(rebuilt, score) < 1e-10
+        dense = np.linalg.svd(score, compute_uv=False)[:2]
+        np.testing.assert_allclose(tr.spectrum, dense, rtol=1e-10)
 
 
 class TestApplyTransform:

@@ -48,6 +48,27 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig):
             SimConfig.from_mapping({"n_items": 5})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dim", 8.5),
+            ("dim", True),
+            ("n_items", np.float64(50.5)),
+            ("seed", False),
+            ("n_users", np.True_),
+            ("dim", float("inf")),
+            ("noise_scale", True),
+        ],
+    )
+    def test_from_mapping_rejects_bools_and_rounding(self, key, value):
+        mapping = {"n_items": 50, "n_users": 40, "dim": 8, key: value}
+        with pytest.raises(InvalidConfig, match=key):
+            SimConfig.from_mapping(mapping)
+
+    def test_from_mapping_takes_integral_numbers_and_strings(self):
+        mapping = {"n_items": 50.0, "n_users": np.int64(40), "dim": "8", "noise_scale": 1}
+        assert SimConfig.from_mapping(mapping) == cfg(seed=0, noise_scale=1.0)
+
     def test_rotation_parse(self):
         assert Rotation.parse("Orthogonal") is Rotation.ORTHOGONAL
         assert Rotation.parse("general_invertible") is Rotation.GENERAL_INVERTIBLE
