@@ -104,6 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_truncation(run) -> None:
+    if run.effective_rank < run.dim:
+        print(f"warning: rank truncated to {run.effective_rank} of {run.dim}", file=sys.stderr)
+
+
 def _cmd_init(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     run, _ = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
@@ -111,6 +116,7 @@ def _cmd_init(args) -> int:
     store.init()
     record = store.save_run(run, items, users)
     store.advance_reference(record)
+    _report_truncation(run)
     print(f"initialized reference space from run {args.run_id!r}", file=sys.stderr)
     return EXIT_OK
 
@@ -130,11 +136,7 @@ def _cmd_stabilize(args) -> int:
     record = store.save_run(run, items, users)
     if not args.no_advance:
         store.advance_reference(record)
-    if run.effective_rank < run.input_dim:
-        print(
-            f"warning: rank truncated to {run.effective_rank} of {run.input_dim}",
-            file=sys.stderr,
-        )
+    _report_truncation(run)
     print(
         f"stabilized run {args.run_id!r} against reference {ref.run_id!r}",
         file=sys.stderr,

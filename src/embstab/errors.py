@@ -66,4 +66,4 @@ class DegenerateAlignmentWarning(UserWarning):
 
 
 class RankTruncationWarning(UserWarning):
-    """Singular values below threshold were dropped; output dimension is reduced."""
+    """Singular values below threshold were dropped; the effective rank is reduced."""

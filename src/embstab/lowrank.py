@@ -130,9 +130,10 @@ class EmbeddingMatrix:
 class SvdTransform:
     """Per-run maps into the score space's principal-direction coordinates.
 
-    item_map and user_map are e x e' (e' = rank kept, e' == e under the
-    strict policy). Transformed Grams are diagonal and both equal the
-    retained spectrum; the score product is unchanged.
+    item_map and user_map are always e x e; spectrum holds the kept singular
+    values (all e under the strict policy). A dropped direction is an exact
+    zero column of both maps. Transformed Grams are diagonal and both equal
+    the spectrum, padded with zeros; the score product is unchanged.
     """
 
     item_map: np.ndarray
@@ -204,8 +205,8 @@ def low_rank_svd_trans(
         users: m x e user embeddings.
         rank_policy: "strict" raises RankDeficient when any singular value
             falls below SV_TRUNCATION_RTOL times the largest; "truncate"
-            drops the affected columns instead, shrinking the output
-            dimension.
+            zeroes the affected map columns instead, so the maps stay
+            e x e at effective rank below e.
 
     Returns:
         SvdTransform whose maps diagonalize both transformed Grams and
@@ -239,14 +240,16 @@ def low_rank_svd_trans(
         warnings.warn(
             RankTruncationWarning(
                 f"dropping {dim - kept} of {dim} singular values below threshold; "
-                f"output dimension {kept}"
+                f"effective rank {kept}"
             ),
             stacklevel=2,
         )
 
     inv_sqrt = 1.0 / np.sqrt(s[:kept])
-    item_map = (r_w.T @ vt[:kept].T) * inv_sqrt
-    user_map = (r_t.T @ u[:, :kept]) * inv_sqrt
+    item_map = np.zeros((dim, dim))
+    user_map = np.zeros((dim, dim))
+    item_map[:, :kept] = (r_w.T @ vt[:kept].T) * inv_sqrt
+    user_map[:, :kept] = (r_t.T @ u[:, :kept]) * inv_sqrt
     return SvdTransform(item_map=item_map, user_map=user_map, spectrum=s[:kept])
 
 

@@ -27,8 +27,7 @@ ORTHONORMALITY_RTOL = 1e-12
 class AlignmentMap:
     """Right-multiplication map from a source coordinate system into a target one.
 
-    matrix has orthonormal rows: square (p == q) in normal operation, p < q
-    only when a rank-truncated source is injected into a larger target
+    matrix is square and orthogonal, e x e like every map in the standard
     space. Reflections (determinant -1) are permitted; sign-flip ambiguity
     between SVD spaces requires them.
     """
@@ -37,50 +36,41 @@ class AlignmentMap:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] > m.shape[1]:
-            raise DimensionMismatch(f"alignment matrix shape {m.shape} is not p x q with p <= q")
-        p, q = m.shape
-        gram_gap = np.linalg.norm(m @ m.T - np.eye(p))
-        if gram_gap > ORTHONORMALITY_RTOL * q:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"alignment matrix shape {m.shape} is not square")
+        e = m.shape[0]
+        gram_gap = np.linalg.norm(m @ m.T - np.eye(e))
+        if gram_gap > ORTHONORMALITY_RTOL * e:
             raise ValueError(f"alignment rows are not orthonormal: residual {gram_gap:.3e}")
-        if p == q:
-            det = float(np.linalg.det(m))
-            if abs(abs(det) - 1.0) > 1e-10:
-                raise ValueError(f"|det| = {abs(det):.12f} is not 1")
-            object.__setattr__(self, "_det", det)
-        else:
-            object.__setattr__(self, "_det", None)
+        det = float(np.linalg.det(m))
+        if abs(abs(det) - 1.0) > 1e-10:
+            raise ValueError(f"|det| = {abs(det):.12f} is not 1")
+        object.__setattr__(self, "_det", det)
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
     def is_reflection(self) -> bool:
-        det = getattr(self, "_det")
-        if det is None:
-            raise ValueError("determinant is undefined for a non-square alignment")
-        return det < 0
+        return self._det < 0
 
 
 def ortho_procrustes(a, b) -> AlignmentMap:
-    """Solve min over orthonormal-row maps r of ||a @ r - b||_F.
+    """Solve min over orthogonal maps r of ||a @ r - b||_F.
 
-    a and b must have the same number of rows (paired observations) and,
-    in normal operation, the same number of columns. The solution is the
-    transposed polar factor of b.T @ a; it is unique whenever that
-    cross-covariance has full rank, and a DegenerateAlignmentWarning is
-    emitted when it does not (any completion is equally optimal).
+    a and b must have the same shape: paired observations of the same
+    width. The solution is the transposed polar factor of b.T @ a; it is
+    unique whenever that cross-covariance has full rank. When it does not,
+    as for a rank-truncated source or anchor with zero columns, the result
+    is an orthogonal completion, equally optimal, and a
+    DegenerateAlignmentWarning is emitted.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionMismatch("alignment inputs must be 2-D")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"alignment input shapes differ: {a.shape} vs {b.shape}")
     if a.shape[0] < 1:
         raise DimensionMismatch("alignment needs at least one row")
-    if a.shape[1] > b.shape[1]:
-        raise DimensionMismatch(
-            f"source width {a.shape[1]} exceeds target width {b.shape[1]}"
-        )
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NonFinite("alignment inputs contain NaN or Inf")
 

@@ -50,10 +50,12 @@ class ReferenceSpace:
 class StabilizedRun:
     """One run's embeddings mapped into the standard space.
 
-    item_map and user_map are the composed per-side transforms (SVD step
-    times alignment); stabilized_items/users are exactly the raw inputs
-    pushed through apply_transform with those maps. rank_policy is the
-    policy the SVD step ran under; RunStore.save_run records it.
+    item_map and user_map are the composed e x e per-side transforms (SVD
+    step times alignment); stabilized_items/users are exactly the raw inputs
+    pushed through apply_transform with those maps, so every run of width e
+    lands in the same e-wide standard space whatever its effective rank.
+    alignment is the identity for the run that seeds the space. rank_policy
+    is the policy the SVD step ran under; RunStore.save_run records it.
     """
 
     run_id: str
@@ -64,19 +66,15 @@ class StabilizedRun:
     stabilized_users: EmbeddingMatrix
     spectrum: np.ndarray
     rank_policy: str
-    alignment: AlignmentMap | None = None
+    alignment: AlignmentMap
 
     @property
     def effective_rank(self) -> int:
         return self.spectrum.shape[0]
 
     @property
-    def input_dim(self) -> int:
+    def dim(self) -> int:
         return self.item_map.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.item_map.shape[1]
 
 
 def _build_run(
@@ -86,14 +84,10 @@ def _build_run(
     users: EmbeddingMatrix,
     transform: SvdTransform,
     rank_policy: str,
-    alignment: AlignmentMap | None,
+    alignment: AlignmentMap,
 ) -> tuple[StabilizedRun, ReferenceSpace]:
-    if alignment is None:
-        item_map = transform.item_map
-        user_map = transform.user_map
-    else:
-        item_map = transform.item_map @ alignment.matrix
-        user_map = transform.user_map @ alignment.matrix
+    item_map = transform.item_map @ alignment.matrix
+    user_map = transform.user_map @ alignment.matrix
     stabilized_items = apply_transform(items, item_map)
     stabilized_users = apply_transform(users, user_map)
     run = StabilizedRun(
@@ -118,13 +112,14 @@ def init_reference(
 ) -> tuple[StabilizedRun, ReferenceSpace]:
     """Seed the standard space from one run.
 
-    The run's own SVD space is the standard space, so no alignment is
-    applied and the composed maps equal the SVD maps. The returned
-    ReferenceSpace carries the stabilized items as the anchor for
-    subsequent runs.
+    The run's own SVD space is the standard space, so its alignment is the
+    identity and the composed maps equal the SVD maps, e x e even when the
+    truncate policy zeroes dead directions. The returned ReferenceSpace
+    carries the stabilized items as the anchor for subsequent runs.
     """
     transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
-    return _build_run(run_id, run_id, items, users, transform, rank_policy, alignment=None)
+    identity = AlignmentMap(np.eye(items.dim))
+    return _build_run(run_id, run_id, items, users, transform, rank_policy, identity)
 
 
 def stabilize_run(

@@ -20,8 +20,9 @@ Transform file (.olt), all little-endian:
     magic     4 bytes  'OLRT'
     version   u16      1
     dim       u32      input dimension (row count of the matrix)
-    payload   rows*cols f64 row-major; square in normal operation, cols is
-              inferred from the payload size for rank-truncated maps
+    payload   rows*cols f64 row-major; every map written is square (e x e),
+              but cols is inferred from the payload size, so the e x kept
+              maps of older rank-truncated runs still read
     digest    32 bytes sha256 of all preceding bytes
 
 Runs live under `runs/<run_id>/` with `items.emb`, `users.emb` (stabilized
@@ -320,7 +321,7 @@ class RunStore:
                 run_id=run.run_id,
                 reference_run_id=run.reference_run_id,
                 created_at=datetime.now(timezone.utc).isoformat(),
-                dim=run.output_dim,
+                dim=run.dim,
                 effective_rank=run.effective_rank,
                 spectrum=tuple(float(s) for s in run.spectrum),
                 rank_policy=run.rank_policy,

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 from embstab import (
     EmbeddingMatrix,
+    RunRecord,
     apply_transform,
+    low_rank_svd_trans,
     read_embeddings,
     write_embeddings,
     write_transform,
@@ -18,6 +21,7 @@ import embstab.cli
 import embstab.metrics
 import embstab.store
 from embstab.cli import main
+from embstab.errors import DegenerateAlignmentWarning, RankTruncationWarning
 from conftest import MALFORMED_META, random_pair
 
 
@@ -260,9 +264,9 @@ class TestStabilize:
         write_embeddings(
             EmbeddingMatrix.of_items(vecs, ids=base.ids), tmp_path / "deficient.emb"
         )
-        from embstab.errors import RankTruncationWarning
-
-        with pytest.warns(RankTruncationWarning):
+        # The dead direction is a zero column of the source, so the
+        # alignment's cross-covariance is rank deficient too.
+        with pytest.warns(Warning) as caught:
             rc = main([
                 "stabilize",
                 "--items", str(tmp_path / "deficient.emb"),
@@ -272,6 +276,8 @@ class TestStabilize:
                 "--rank-policy", "truncate",
             ])
         assert rc == 0
+        categories = {w.category for w in caught}
+        assert {RankTruncationWarning, DegenerateAlignmentWarning} <= categories
         assert "rank truncated" in capsys.readouterr().err
         meta = json.loads((store / "runs" / "run1t" / "meta").read_text())
         assert meta["effective_rank"] == 7
@@ -288,6 +294,131 @@ class TestStabilize:
             "--out", str(store),
         ])
         assert rc_strict == 2
+
+    def test_truncated_init_does_not_end_the_chain(self, tmp_path, sim_dir, capsys):
+        # A rank-7-of-8 seed keeps width 8, so a full-rank run chains onto it.
+        store = tmp_path / "store"
+        write_embeddings(rank_7_of_8_items(sim_dir), tmp_path / "deficient.emb")
+        with pytest.warns(RankTruncationWarning):
+            assert main([
+                "init",
+                "--items", str(tmp_path / "deficient.emb"),
+                "--users", str(sim_dir / "run_000.users.emb"),
+                "--run-id", "run0",
+                "--out", str(store),
+                "--rank-policy", "truncate",
+            ]) == 0
+        assert "warning: rank truncated to 7 of 8" in capsys.readouterr().err
+        meta = json.loads((store / "runs" / "run0" / "meta").read_text())
+        assert (meta["dim"], meta["effective_rank"]) == (8, 7)
+        for name in ("mT.olt", "mW.olt"):
+            m = embstab.store.read_transform(store / "runs" / "run0" / name)
+            assert m.shape == (8, 8)
+            assert np.array_equal(m[:, -1], np.zeros(8))
+        assert read_embeddings(store / "runs" / "run0" / "items.emb").dim == 8
+
+        # The anchor's dead direction makes the alignment degenerate.
+        with pytest.warns(DegenerateAlignmentWarning):
+            assert main([
+                "stabilize",
+                "--items", str(sim_dir / "run_001.items.emb"),
+                "--users", str(sim_dir / "run_001.users.emb"),
+                "--run-id", "run1",
+                "--out", str(store),
+            ]) == 0
+        meta = json.loads((store / "runs" / "run1" / "meta").read_text())
+        assert (meta["dim"], meta["effective_rank"]) == (8, 8)
+        assert (store / "latest_ref").read_text().strip() == "run1"
+
+
+def rank_7_of_8_items(sim_dir):
+    """The seed run's items with the last column a copy of the first."""
+    base = read_embeddings(sim_dir / "run_000.items.emb")
+    vecs = base.vectors.copy()
+    vecs[:, -1] = vecs[:, 0]
+    return EmbeddingMatrix.of_items(vecs, ids=base.ids)
+
+
+def _write_narrow_truncated_store(store, items, users):
+    """A store as older releases wrote it after `init --rank-policy truncate`
+    of a rank-deficient run: e x kept maps, a kept-wide anchor and meta.dim
+    equal to kept."""
+    with pytest.warns(RankTruncationWarning):
+        tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+    kept = tr.spectrum.size
+    item_map, user_map = tr.item_map[:, :kept], tr.user_map[:, :kept]
+    run_dir = store / "runs" / "run0"
+    run_dir.mkdir(parents=True)
+    files = {
+        "items.emb": write_embeddings(apply_transform(items, item_map), run_dir / "items.emb"),
+        "users.emb": write_embeddings(apply_transform(users, user_map), run_dir / "users.emb"),
+        "raw_items.emb": write_embeddings(items, run_dir / "raw_items.emb"),
+        "raw_users.emb": write_embeddings(users, run_dir / "raw_users.emb"),
+        "mT.olt": write_transform(item_map, run_dir / "mT.olt"),
+        "mW.olt": write_transform(user_map, run_dir / "mW.olt"),
+    }
+    record = RunRecord(
+        run_id="run0",
+        reference_run_id="run0",
+        created_at="2025-01-01T00:00:00+00:00",
+        dim=kept,
+        effective_rank=kept,
+        spectrum=tuple(float(v) for v in tr.spectrum),
+        rank_policy="truncate",
+        files=files,
+    )
+    (run_dir / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
+    (store / "latest_ref").write_text("run0\n")
+    return record
+
+
+class TestNarrowTruncatedStore:
+    @pytest.fixture
+    def old_store(self, tmp_path, sim_dir):
+        users = read_embeddings(sim_dir / "run_000.users.emb")
+        store = tmp_path / "old"
+        return store, _write_narrow_truncated_store(store, rank_7_of_8_items(sim_dir), users)
+
+    def test_record_loads_and_validates(self, old_store):
+        root, record = old_store
+        store = embstab.store.RunStore(root)
+        assert store.load_record("run0") == record
+        store.validate_record(record)
+        assert store.reference_space().dimension == 7
+        assert embstab.store.read_transform(root / "runs" / "run0" / "mT.olt").shape == (8, 7)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_validate_against_itself(self, tmp_path, old_store, raw):
+        root, _ = old_store
+        out = tmp_path / "report"
+        argv = ["validate", "--run-a", "run0", "--run-b", "run0", "--store", str(root)]
+        assert main(argv + ["--out", str(out)] + (["--raw"] if raw else [])) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mean_item_cosine"] == pytest.approx(1.0)
+
+    def test_apply_through_narrow_map(self, tmp_path, old_store):
+        root, _ = old_store
+        run_dir = root / "runs" / "run0"
+        out = tmp_path / "applied.emb"
+        assert main([
+            "apply",
+            "--emb", str(run_dir / "raw_items.emb"),
+            "--transform", str(run_dir / "mT.olt"),
+            "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == (run_dir / "items.emb").read_bytes()
+
+    def test_stabilize_against_narrow_anchor_exits_2(self, old_store, sim_dir, capsys):
+        root, _ = old_store
+        rc = main([
+            "stabilize",
+            "--items", str(sim_dir / "run_001.items.emb"),
+            "--users", str(sim_dir / "run_001.users.emb"),
+            "--run-id", "run1",
+            "--out", str(root),
+        ])
+        assert rc == 2
+        assert "run width 8 != reference dimension 7" in capsys.readouterr().err
 
 
 class TestPipelineProperties:

@@ -189,7 +189,11 @@ class TestLowRankSvdTrans:
         with pytest.warns(RankTruncationWarning):
             tr = low_rank_svd_trans(items, users, rank_policy="truncate")
         assert tr.spectrum.size == 2
-        assert tr.item_map.shape == (3, 2)
+        # The maps keep the input width; the dead direction is a +0.0 column.
+        for m in (tr.item_map, tr.user_map):
+            assert m.shape == (3, 3)
+            assert np.array_equal(m[:, 2], np.zeros(3))
+            assert not np.any(np.signbit(m[:, 2]))
         score = items.vectors @ users.vectors.T
         rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
         assert rel_fro(rebuilt, score) < 1e-10

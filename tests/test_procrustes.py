@@ -110,17 +110,15 @@ class TestOrthoProcrustes:
         assert np.linalg.norm(amap.matrix.T @ amap.matrix - np.eye(4)) <= 1e-12 * 4
 
     def test_rectangular_source_into_larger_target(self):
-        # Rank-truncated sources align into the wider standard space with a
-        # row-orthonormal map.
+        # Every map is e x e, so a narrower source never aligns into a wider
+        # target: a truncated run keeps its width and zeroes columns instead.
         gen = np.random.default_rng(5)
         a = gen.standard_normal((40, 5))
         inject = np.zeros((5, 8))
         inject[:, :5] = np.eye(5)
         b = a @ inject @ random_orthogonal(8, seed=55)
-        amap = ortho_procrustes(a, b)
-        assert amap.matrix.shape == (5, 8)
-        assert np.linalg.norm(amap.matrix @ amap.matrix.T - np.eye(5)) < 1e-10
-        assert residual(a, amap.matrix, b) < 1e-10
+        with pytest.raises(DimensionMismatch):
+            ortho_procrustes(a, b)
 
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -148,6 +146,11 @@ class TestAlignmentMap:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             AlignmentMap(matrix=np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_rejects_non_square(self):
+        # Orthonormal rows, but not e x e: no such map exists any more.
+        with pytest.raises(DimensionMismatch):
+            AlignmentMap(matrix=np.eye(3)[:2])
 
     def test_matrix_read_only(self):
         amap = AlignmentMap(matrix=np.eye(2))

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embstab import (
     EmbeddingMatrix,
@@ -50,7 +54,7 @@ class TestInitReference:
         tr = low_rank_svd_trans(items, users)
         assert np.array_equal(run.item_map, tr.item_map)
         assert np.array_equal(run.user_map, tr.user_map)
-        assert run.alignment is None
+        assert np.array_equal(run.alignment.matrix, np.eye(4))
 
 
 class TestStabilizeRun:
@@ -228,9 +232,66 @@ class TestStabilizeRun:
         with pytest.warns(Warning):
             run, _ = stabilize_run(items2, users2, ref, "r1", rank_policy="truncate")
         assert run.effective_rank == 5
-        assert run.output_dim == 6  # injected into the reference's space
+        assert run.dim == 6  # the reference's width, like every run
+        assert run.item_map.shape == run.user_map.shape == (6, 6)
         assert run.stabilized_items.dim == 6
         assert stabilized_product_error(run, items2, users2) < 1e-8
+
+
+def _chain_step_input(gen, item_ids, user_ids, dim, dtype, dead, how):
+    # A run of width dim; with dead > 0 its item side has rank dim - dead,
+    # exactly, whatever the precision: the last `dead` columns are copies of
+    # the first one, or zero. A linear combination would round at float32
+    # and stay full rank.
+    items = gen.standard_normal((item_ids.size, dim)).astype(dtype)
+    users = gen.standard_normal((user_ids.size, dim)).astype(dtype)
+    if dead:
+        items[:, dim - dead :] = items[:, :1] if how == "duplicate" else 0.0
+    return (
+        EmbeddingMatrix.of_items(items, ids=item_ids),
+        EmbeddingMatrix.of_users(users, ids=user_ids),
+    )
+
+
+class TestFixedWidthChain:
+    @given(
+        dim=st.integers(2, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        dead_fraction=st.floats(0.0, 1.0),
+        how=st.sampled_from(["duplicate", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_truncate_full_truncate_full_chain(self, dim, dtype, dead_fraction, how, seed):
+        # Truncated and full-rank runs alternate along one chain. Each step
+        # keeps the full width, stays lossless, and aligns orthogonally.
+        gen = np.random.default_rng(seed)
+        dead = 1 + int(dead_fraction * (dim - 2))  # 1 .. dim - 1
+        item_ids = np.arange(40, dtype=np.uint64)
+        user_ids = np.arange(30, dtype=np.uint64)
+        ref = None
+        for step, step_dead in enumerate([dead, 0, dead, 0]):
+            items, users = _chain_step_input(
+                gen, item_ids, user_ids, dim, dtype, step_dead, how
+            )
+            policy = "truncate" if step_dead else "strict"
+            with warnings.catch_warnings():
+                # Truncation and the degenerate alignment it implies warn.
+                warnings.simplefilter("ignore")
+                if ref is None:
+                    run, ref = init_reference(items, users, f"r{step}", rank_policy=policy)
+                else:
+                    run, ref = stabilize_run(items, users, ref, f"r{step}", rank_policy=policy)
+            assert run.dim == dim
+            assert run.item_map.shape == run.user_map.shape == (dim, dim)
+            assert run.stabilized_items.dim == run.stabilized_users.dim == dim
+            assert run.effective_rank == dim - step_dead
+            t = items.vectors.astype(np.float64)
+            w = users.vectors.astype(np.float64)
+            rebuilt = (t @ run.item_map) @ (w @ run.user_map).T
+            assert rel_fro(rebuilt, t @ w.T) <= 1e-10
+            r = run.alignment.matrix
+            assert np.linalg.norm(r.T @ r - np.eye(dim)) <= 1e-12 * dim
 
 
 class TestScoreProductError:

@@ -27,6 +27,7 @@ from embstab import (
 from embstab.errors import (
     ConcurrentWriter,
     CorruptFile,
+    DegenerateAlignmentWarning,
     InvalidRunId,
     RankTruncationWarning,
     UnknownRun,
@@ -472,9 +473,12 @@ class TestRunStore:
         vecs = items.vectors.copy()
         vecs[:, 3] = vecs[:, 0]  # rank 3 of 4
         items1 = EmbeddingMatrix.of_items(vecs, ids=items.ids)
-        with pytest.warns(RankTruncationWarning):
+        with pytest.warns(Warning) as caught:
             run1, _ = stabilize_run(items1, users, ref, "run1", rank_policy="truncate")
+        # The dead direction is a zero source column: the alignment degenerates.
+        assert {RankTruncationWarning, DegenerateAlignmentWarning} <= {w.category for w in caught}
         record = store.save_run(run1, items1, users)
+        assert record.dim == 4
         assert record.effective_rank == 3
         assert record.rank_policy == "truncate"
         assert store.load_record("run1").rank_policy == "truncate"
