@@ -13,17 +13,14 @@ from . import errors
 from .lowrank import (
     EmbeddingMatrix,
     Role,
-    SvdTransform,
     apply_transform,
     low_rank_svd_trans,
-    rowwise_matmul,
 )
 from .metrics import (
     MetricsReport,
     compare_runs,
     mean_same_id_cosine,
     rank_correlation_report,
-    rbo,
     write_report,
 )
 from .procrustes import AlignmentMap, ortho_procrustes
@@ -32,15 +29,12 @@ from .simulator import (
     SimConfig,
     gen_ground_truth,
     gen_retrained_run,
-    haar_orthogonal,
     load_sim_config,
 )
 from .stabilizer import (
     ReferenceSpace,
     StabilizedRun,
-    default_min_overlap,
     init_reference,
-    score_product_error,
     stabilize_run,
 )
 from .store import (
@@ -65,25 +59,19 @@ __all__ = [
     "RunStore",
     "SimConfig",
     "StabilizedRun",
-    "SvdTransform",
     "apply_transform",
     "compare_runs",
-    "default_min_overlap",
     "errors",
     "gen_ground_truth",
     "gen_retrained_run",
-    "haar_orthogonal",
     "init_reference",
     "load_sim_config",
     "low_rank_svd_trans",
     "mean_same_id_cosine",
     "ortho_procrustes",
     "rank_correlation_report",
-    "rbo",
     "read_embeddings",
     "read_transform",
-    "rowwise_matmul",
-    "score_product_error",
     "stabilize_run",
     "write_embeddings",
     "write_report",

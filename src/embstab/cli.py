@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConcurrentWriter,
     CorruptFile,
     DimensionMismatch,
     EmbStabError,
@@ -214,7 +213,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorruptFile, ConcurrentWriter) as exc:
+    except CorruptFile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EmbStabError as exc:

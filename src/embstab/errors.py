@@ -37,12 +37,9 @@ class DuplicateId(EmbStabError):
     """An id occurs more than once where uniqueness is required."""
 
 
-class InvalidPersistence(EmbStabError):
-    """Rank-biased-overlap persistence must lie strictly between 0 and 1."""
-
-
 class InvalidConfig(EmbStabError, ValueError):
-    """A simulation config field or a ranking depth violates its constraints."""
+    """A simulation config field, a ranking depth or an RBO persistence outside
+    (0, 1) violates its constraints."""
 
 
 class InvalidRunId(EmbStabError):
@@ -55,10 +52,6 @@ class UnknownRun(EmbStabError):
 
 class CorruptFile(EmbStabError):
     """Stored artifact failed checksum or structural validation."""
-
-
-class ConcurrentWriter(EmbStabError):
-    """Another process holds the reference-pointer writer lock."""
 
 
 class DegenerateAlignmentWarning(UserWarning):

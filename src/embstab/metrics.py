@@ -28,7 +28,6 @@ from .errors import (
     DuplicateId,
     EmptyIntersection,
     InvalidConfig,
-    InvalidPersistence,
     RoleMismatch,
     ZeroNormRow,
 )
@@ -90,7 +89,7 @@ def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, 
 
 def _check_ranking(depth, p) -> None:
     if not 0.0 < p < 1.0:
-        raise InvalidPersistence(f"persistence must lie in (0, 1), got {p}")
+        raise InvalidConfig(f"persistence must lie in (0, 1), got {p}")
     if depth < 1:
         raise InvalidConfig(f"depth must be >= 1, got {depth}")
 
@@ -121,6 +120,7 @@ def _rbo_rows(ranked_a: np.ndarray, ranked_b: np.ndarray, p: float) -> np.ndarra
     return (1.0 - p) * acc + p**k * agreement[:, -1]
 
 
+# Only the benchmark calls this: perfbench/oracle.py imports it and perfbench/tracer.py wraps it.
 def rbo(list_a, list_b, p: float = 0.9, depth: int = 100) -> float:
     """Extrapolated rank-biased overlap of two ranked lists.
 

@@ -28,14 +28,16 @@ Transform file (.olt), all little-endian:
 Runs live under `runs/<run_id>/` with `items.emb`, `users.emb` (stabilized
 embeddings; items.emb doubles as the chaining anchor), `raw_items.emb`,
 `raw_users.emb` (verbatim inputs, kept for raw-mode validation), `mT.olt`,
-`mW.olt` (composed maps, float64), and `meta` (JSON run record). Saves
-hold `save.lock` at the store root, write the run under
-`runs/.staging-<run_id>/` (removing what a failed save left there) and
-rename it into place once `meta` is written, so a failed save never blocks
-a retry under its id. The
+`mW.olt` (composed maps, float64), and `meta` (JSON run record).
+
+One advisory lock, `save.lock` at the store root, guards both writes: the
+save of a run and the advance of the pointer. A writer that finds it held
+waits for it. Saves write the run under `runs/.staging-<run_id>/`
+(removing what a failed save left there) and rename it into place once
+`meta` is written, so a failed save never blocks a retry under its id. The
 `latest_ref` pointer file at the store root holds the current reference
-run id and is advanced by write-new-then-rename under an advisory lock, so
-readers never block and a crash cannot leave it pointing at garbage.
+run id and is advanced by write-new-then-rename, so readers never block
+and a crash cannot leave it pointing at garbage.
 """
 
 from __future__ import annotations
@@ -54,12 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConcurrentWriter,
-    CorruptFile,
-    InvalidRunId,
-    UnknownRun,
-)
+from .errors import CorruptFile, InvalidRunId, UnknownRun
 from .lowrank import EmbeddingMatrix, Role
 from .stabilizer import ReferenceSpace, StabilizedRun
 
@@ -268,8 +265,8 @@ def _check_record(record: RunRecord, run_id: str) -> None:
 class RunStore:
     """Directory-backed store of stabilized runs and the reference pointer.
 
-    Many readers may run concurrently; the reference pointer accepts one
-    writer at a time (advisory lock). Committed runs are never rewritten.
+    Many readers may run concurrently; writers take turns on `save.lock`.
+    Committed runs are never rewritten.
     """
 
     def __init__(self, root) -> None:
@@ -405,15 +402,8 @@ class RunStore:
         one, never a partial write."""
         self.validate_record(record)
         self.init()
-        lock_path = self.root / "latest_ref.lock"
-        with open(lock_path, "w") as lock:
-            try:
-                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except BlockingIOError as exc:
-                raise ConcurrentWriter("another writer holds the reference lock") from exc
-            try:
-                tmp = self.root / "latest_ref.tmp"
-                tmp.write_text(record.run_id + "\n")
-                os.replace(tmp, self.latest_ref_path)
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
+        with open(self.root / "save.lock", "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # the same writer lock as save_run
+            tmp = self.root / "latest_ref.tmp"
+            tmp.write_text(record.run_id + "\n")
+            os.replace(tmp, self.latest_ref_path)

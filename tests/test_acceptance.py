@@ -20,13 +20,13 @@ from embstab import (
     init_reference,
     low_rank_svd_trans,
     ortho_procrustes,
-    rbo,
     read_embeddings,
     read_transform,
     stabilize_run,
     write_embeddings,
     write_transform,
 )
+from embstab.metrics import rbo
 from conftest import chain_gaps, random_orthogonal, random_pair
 from test_metrics import rbo_bruteforce
 

@@ -18,6 +18,7 @@ from embstab import (
     write_transform,
 )
 import embstab.cli
+import embstab.errors
 import embstab.metrics
 import embstab.store
 from embstab.cli import main
@@ -570,9 +571,12 @@ class TestValidate:
             "--store", str(store_with_two_runs), "--out", str(out), *option,
         ])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
+        flag, value = option
+        message = {
+            "--top-k": f"depth must be >= 1, got {value}",
+            "--rbo-p": f"persistence must lie in (0, 1), got {value}",
+        }[flag]
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_report_files_and_flat_format(self, tmp_path, store_with_two_runs):
@@ -735,6 +739,30 @@ class TestApply:
         ]) == 0
         write_embeddings(apply_transform(items, m), tmp_path / "expected.emb")
         assert (tmp_path / "out.emb").read_bytes() == (tmp_path / "expected.emb").read_bytes()
+
+
+ERROR_CLASSES = sorted(
+    (
+        cls
+        for cls in vars(embstab.errors).values()
+        if isinstance(cls, type) and issubclass(cls, embstab.errors.EmbStabError)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(tmp_path, monkeypatch, capsys, error):
+    def fail(args):
+        raise error("simulated failure")
+
+    monkeypatch.setattr(embstab.cli, "_cmd_simulate", fail)
+    rc = main([
+        "simulate", "--config", str(tmp_path / "sim.cfg"), "--runs", "1",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == (3 if error is embstab.errors.CorruptFile else 2)
+    assert capsys.readouterr().err == "error: simulated failure\n"
 
 
 def test_cli_uses_no_private_store_names():

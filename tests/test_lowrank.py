@@ -8,9 +8,9 @@ from embstab import (
     Role,
     apply_transform,
     low_rank_svd_trans,
-    rowwise_matmul,
 )
 from embstab import lowrank
+from embstab.lowrank import rowwise_matmul
 from embstab.errors import (
     DimensionMismatch,
     DuplicateId,

@@ -15,7 +15,6 @@ from embstab import (
     init_reference,
     mean_same_id_cosine,
     rank_correlation_report,
-    rbo,
     stabilize_run,
     write_report,
 )
@@ -23,10 +22,11 @@ from embstab.errors import (
     DimensionMismatch,
     DuplicateId,
     EmptyIntersection,
-    InvalidPersistence,
+    InvalidConfig,
     RoleMismatch,
     ZeroNormRow,
 )
+from embstab.metrics import rbo
 from conftest import random_orthogonal, random_pair
 
 
@@ -221,7 +221,7 @@ class TestRbo:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
     def test_invalid_persistence(self, p):
-        with pytest.raises(InvalidPersistence):
+        with pytest.raises(InvalidConfig):
             rbo([1], [1], p=p, depth=1)
 
     def test_invalid_depth(self):

@@ -19,25 +19,19 @@ PUBLIC_NAMES = [
     "RunStore",
     "SimConfig",
     "StabilizedRun",
-    "SvdTransform",
     "apply_transform",
     "compare_runs",
-    "default_min_overlap",
     "errors",
     "gen_ground_truth",
     "gen_retrained_run",
-    "haar_orthogonal",
     "init_reference",
     "load_sim_config",
     "low_rank_svd_trans",
     "mean_same_id_cosine",
     "ortho_procrustes",
     "rank_correlation_report",
-    "rbo",
     "read_embeddings",
     "read_transform",
-    "rowwise_matmul",
-    "score_product_error",
     "stabilize_run",
     "write_embeddings",
     "write_report",

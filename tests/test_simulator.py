@@ -6,11 +6,11 @@ from embstab import (
     SimConfig,
     gen_ground_truth,
     gen_retrained_run,
-    haar_orthogonal,
     load_sim_config,
     mean_same_id_cosine,
 )
 from embstab.errors import InvalidConfig
+from embstab.simulator import haar_orthogonal
 
 
 def cfg(**overrides):

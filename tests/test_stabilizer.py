@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from embstab import (
     EmbeddingMatrix,
-    default_min_overlap,
     init_reference,
     low_rank_svd_trans,
     mean_same_id_cosine,
-    score_product_error,
     stabilize_run,
 )
 from embstab.errors import DimensionMismatch, InsufficientOverlap
+from embstab.stabilizer import default_min_overlap, score_product_error
 from conftest import chain_gaps, random_orthogonal, random_pair, rel_fro
 
 

@@ -25,7 +25,6 @@ from embstab import (
     write_transform,
 )
 from embstab.errors import (
-    ConcurrentWriter,
     CorruptFile,
     DegenerateAlignmentWarning,
     InvalidRunId,
@@ -448,15 +447,30 @@ class TestRunStore:
         monkeypatch.undo()
         assert store.latest_reference_id() == "run0"
 
-    def test_concurrent_writer_rejected(self, tmp_path):
+    def test_advance_waits_for_the_save_lock(self, tmp_path):
         import fcntl
 
-        store, records = make_store_with_runs(tmp_path, n_runs=1)
-        lock_path = store.root / "latest_ref.lock"
-        with open(lock_path, "w") as holder:
-            fcntl.flock(holder, fcntl.LOCK_EX)
-            with pytest.raises(ConcurrentWriter):
+        store, records = make_store_with_runs(tmp_path, n_runs=2)
+        errors = []
+
+        def advance():
+            try:
                 store.advance_reference(records[0])
+            except Exception as exc:
+                errors.append(exc)
+
+        advancer = threading.Thread(target=advance)
+        with open(store.root / "save.lock", "w") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            advancer.start()
+            advancer.join(timeout=1.0)
+            assert advancer.is_alive()
+            assert store.latest_reference_id() == "run1"
+        advancer.join(timeout=60)
+        assert not advancer.is_alive()
+        assert errors == []
+        assert store.latest_reference_id() == "run0"
+        assert not (store.root / "latest_ref.lock").exists()
 
     def test_unsafe_run_id_rejected(self, tmp_path):
         store = RunStore(tmp_path / "store")
