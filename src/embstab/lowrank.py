@@ -16,11 +16,17 @@ most one block is left for a last QR. The block order depends only on the
 row count and e, so R is a deterministic function of the rows in their
 order, whatever pieces they were read in; a side of at most one block
 takes the single QR alone.
+
+The apply kernel cuts long inputs into up to LANES contiguous row parts,
+each run on a thread of its own (see rowwise_matmul). Each output row
+depends only on its input row, so the bytes are the same at any lane count.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +49,61 @@ SV_TRUNCATION_RTOL = 1e-12
 QR_BLOCK_ROWS = 1024
 
 RANK_POLICIES = ("strict", "truncate")
+
+
+def _usable_cpus() -> int:
+    # sched_getaffinity exists only on Linux; elsewhere count every CPU.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that share the pieces of one kernel call: two where the process may
+# run on two CPUs, so `taskset -c 0` gives one. A third is unmeasured and
+# would add one more of validate's score blocks to its memory.
+LANES = min(2, _usable_cpus())
+
+# Fewest rows the apply kernel gives one lane; shorter inputs run on one.
+LANE_MIN_ROWS = 4096
+
+
+def _in_lanes(fn, pieces) -> list:
+    """[fn(piece) for piece in pieces], piece i run on lane i % LANES.
+
+    Lane 0 is the calling thread, every other lane a thread of its own. A
+    lane stops once a piece below its next one has failed, on any lane.
+    Once every lane has joined, the failure of the lowest piece is raised,
+    the one a plain loop over the pieces would raise.
+    """
+    pieces = list(pieces)
+    n = len(pieces)
+    results = [None] * n
+    errors = [None] * n
+    # Lane j's first failed piece, or n; only lane j writes its slot.
+    failed = [n] * LANES
+
+    def lane(j: int) -> None:
+        for i in range(j, n, LANES):
+            if i > min(failed):
+                return
+            try:
+                results[i] = fn(pieces[i])
+            except BaseException as exc:  # re-raised below, once all lanes are done
+                errors[i] = exc
+                failed[j] = i
+
+    threads = [threading.Thread(target=lane, args=(j,)) for j in range(1, min(LANES, n))]
+    for thread in threads:
+        thread.start()
+    try:
+        lane(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    first = min(failed)
+    if first < n:
+        raise errors[first]
+    return results
 
 
 class Role(enum.Enum):
@@ -264,11 +325,25 @@ def rowwise_matmul(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     its outer loop; with one output column or a non-C-ordered m it reduces
     in another order, hence the fresh C-ordered copy of m with one extra
     zero column, sliced off the result.
+
+    The n rows are cut into min(LANES, n // LANE_MIN_ROWS) contiguous parts
+    (one at least), each cast to float64 and multiplied on its own lane
+    into one preallocated output. Since every row is computed alone, the
+    bytes are the same at any lane count.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows)
     m_padded = np.zeros((m.shape[0], m.shape[1] + 1))
     m_padded[:, :-1] = m
-    return np.einsum("nk,kj->nj", rows, m_padded)[:, :-1]
+    n = rows.shape[0]
+    out = np.empty((n, m_padded.shape[1]))
+    parts = max(1, min(LANES, n // LANE_MIN_ROWS))
+
+    def part(span: slice) -> None:
+        part_rows = rows[span].astype(np.float64, copy=False)
+        np.einsum("nk,kj->nj", part_rows, m_padded, out=out[span])
+
+    _in_lanes(part, [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
+    return out[:, :-1]
 
 
 def apply_transform(emb: EmbeddingMatrix, matrix) -> EmbeddingMatrix:

@@ -11,7 +11,9 @@ one after stabilization.
 Rankings are computed a block of users at a time, in memory bounded by
 SCORE_BLOCK_ELEMENTS rather than by users x items: an exact top-k by
 partial selection, with score ties broken toward the smaller item id, and
-RBO for the whole block at once.
+RBO for the whole block at once. The blocks are dealt to lowrank.LANES
+threads, so up to LANES blocks are held at once; a block's shape does not
+depend on the lane count, so neither do the report's bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     RoleMismatch,
     ZeroNormRow,
 )
-from .lowrank import EmbeddingMatrix
+from .lowrank import EmbeddingMatrix, _in_lanes
 
 # Score-matrix elements one block of users may hold (8 MiB of float64);
 # rank_correlation_report scores max(1, this // n_items) users at a time.
@@ -179,9 +181,12 @@ def rank_correlation_report(
     Every shared user scores all reference items by dot product twice, once
     with its vector from each run; the two descending rankings (ties broken
     by ascending item id) are compared with rbo at depth top_k. Users are
-    scored a block of rows at a time, so memory is bounded by
-    SCORE_BLOCK_ELEMENTS and not by users x items. Returns (mean over users,
-    number of users compared).
+    scored a block of rows at a time, so memory is bounded by LANES times
+    SCORE_BLOCK_ELEMENTS and not by users x items. The blocks run on up
+    to lowrank.LANES threads and their RBO values are summed in block order;
+    every block keeps its shape, and with it its BLAS score bits, so the
+    result is the same at any lane count. Returns (mean over users, number
+    of users compared).
     """
     _check_ranking(top_k, p)
     if items_ref.dim != users_a.dim or items_ref.dim != users_b.dim:
@@ -200,14 +205,16 @@ def rank_correlation_report(
     ub = users_b.vectors.astype(np.float64, copy=False)[users_b.positions(shared)]
     k = min(top_k, items_ref.n)
     rows = max(1, SCORE_BLOCK_ELEMENTS // max(1, items_ref.n))
-    values = np.empty(shared.size)
-    for start in range(0, shared.size, rows):
-        block = slice(start, start + rows)
-        values[block] = _rbo_rows(
+
+    def block_rbo(block: slice) -> np.ndarray:
+        return _rbo_rows(
             _top_k_columns(ua[block] @ neg_items_t, k),
             _top_k_columns(ub[block] @ neg_items_t, k),
             p,
         )
+
+    blocks = [slice(start, start + rows) for start in range(0, shared.size, rows)]
+    values = np.concatenate(_in_lanes(block_rbo, blocks))
     return math.fsum(values) / values.size, int(shared.size)
 
 

@@ -1,7 +1,10 @@
 import ast
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from embstab import (
 )
 import embstab.cli
 import embstab.errors
+import embstab.lowrank
 import embstab.metrics
 import embstab.store
 from embstab.cli import main
@@ -777,3 +781,73 @@ def test_cli_uses_no_private_store_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least two CPUs",
+)
+def test_output_bytes_do_not_depend_on_the_cpu_set(tmp_path):
+    """validate and apply write the same bytes on one CPU (one lane) and on
+    every CPU the test may use (two lanes)."""
+    cfg = tmp_path / "sim.cfg"
+    # 4500 users of 512 items score in three blocks of 2048 users.
+    cfg.write_text(SIM_CFG.replace("n_items = 120", "n_items = 512")
+                   .replace("n_users = 90", "n_users = 4500").replace("dim = 8", "dim = 16"))
+    sim, store = tmp_path / "sim", tmp_path / "store"
+    assert main(["simulate", "--config", str(cfg), "--runs", "2", "--out", str(sim)]) == 0
+    for cmd, run in (("init", 0), ("stabilize", 1)):
+        assert main([
+            cmd, "--items", str(sim / f"run_00{run}.items.emb"),
+            "--users", str(sim / f"run_00{run}.users.emb"),
+            "--run-id", f"run{run}", "--out", str(store),
+        ]) == 0
+    # Inputs long enough for the apply kernel to split them in two.
+    rows = 2 * embstab.lowrank.LANE_MIN_ROWS + 7
+    gen = np.random.default_rng(3)
+    for dtype in (np.float32, np.float64):
+        users = EmbeddingMatrix.of_users(gen.standard_normal((rows, 16)).astype(dtype))
+        write_embeddings(users, tmp_path / f"{np.dtype(dtype).name}.emb")
+
+    # One BLAS thread in both children: the BLAS thread count can change
+    # score and map bits by itself, whatever the lanes do.
+    env = {
+        **os.environ,
+        **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(embstab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def child(args, confine):
+        return subprocess.run(
+            [sys.executable, *args],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+            preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if confine else None,
+        ).stdout
+
+    lanes = "import embstab.lowrank; print(embstab.lowrank.LANES)"
+    assert [child(["-c", lanes], confine) for confine in (True, False)] == ["1\n", "2\n"]
+
+    validate = ["validate", "--run-a", "run0", "--run-b", "run1", "--store", str(store)]
+    commands = {
+        "validate": (validate, ["report.json", "report.txt"]),
+        "validate_raw": (validate + ["--raw"], ["report.json", "report.txt"]),
+    }
+    for name in ("float32", "float64"):
+        apply = ["apply", "--emb", str(tmp_path / f"{name}.emb"),
+                 "--transform", str(store / "runs" / "run1" / "mW.olt")]
+        commands[f"apply_{name}"] = (apply, ["out.emb"])
+    for name, (args, files) in commands.items():
+        outputs = []
+        for confine in (True, False):
+            out = tmp_path / f"{name}-{confine}"
+            out.mkdir()
+            out_arg = out if args[0] == "validate" else out / "out.emb"
+            child(["-m", "embstab.cli", *args, "--out", str(out_arg)], confine)
+            outputs.append([(out / f).read_bytes() for f in files])
+        assert outputs[0] == outputs[1], name

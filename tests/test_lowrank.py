@@ -1,3 +1,9 @@
+import os
+import sys
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -406,3 +412,151 @@ class TestRowwiseMatmul:
         bounds = [0, *sorted({c for c in cuts if c < n}), n]
         parts = [rowwise_matmul(rows[a:b], m) for a, b in zip(bounds, bounds[1:])]
         assert np.array_equal(np.concatenate(parts), whole)
+
+    # The row counts on either side of each change in the number of parts.
+    @given(
+        n=st.sampled_from(
+            [d + c * lowrank.LANE_MIN_ROWS for c in (1, 2) for d in (-1, 0, 1)]
+        ),
+        e=st.integers(min_value=1, max_value=70),
+        e_out=st.integers(min_value=1, max_value=70),
+        f32=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_bits_on_one_and_two_lanes(self, n, e, e_out, f32):
+        gen = np.random.default_rng([n, e, e_out])
+        m = gen.standard_normal((e, e_out))
+        rows = gen.standard_normal((n, e)).astype(np.float32 if f32 else np.float64)
+        outs = []
+        for lanes in (1, 2):
+            with mock.patch.object(lowrank, "LANES", lanes):
+                outs.append(rowwise_matmul(rows, m))
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert outs[1].tobytes() == ascending_k_loop(rows, m).tobytes()
+
+
+def _counting_threads(monkeypatch) -> list:
+    """Patch threading.Thread to record every thread created."""
+    made = []
+    real = threading.Thread
+
+    def counted(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(threading, "Thread", counted)
+    return made
+
+
+class TestLanes:
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        # Not every platform has sched_getaffinity (macOS, Windows).
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert lowrank._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert lowrank._usable_cpus() == 1
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_results_in_piece_order(self, monkeypatch, lanes):
+        monkeypatch.setattr(lowrank, "LANES", lanes)
+
+        def slow_evens(i):
+            # Even pieces finish late, so the odd lane runs ahead.
+            time.sleep(0.002 * (i % 2 == 0))
+            return i * i
+
+        assert lowrank._in_lanes(slow_evens, range(11)) == [i * i for i in range(11)]
+        assert lowrank._in_lanes(slow_evens, []) == []
+
+    def test_lowest_failure_raised_when_a_later_one_fails_first(self, monkeypatch):
+        monkeypatch.setattr(lowrank, "LANES", 2)
+        later_failed = threading.Event()
+        ran = []
+
+        def piece(i):
+            ran.append(i)
+            if i == 1:  # lane 1: fails only once piece 2 has failed
+                assert later_failed.wait(timeout=10)
+                raise ValueError("piece 1")
+            if i == 2:  # lane 0
+                later_failed.set()
+                raise ValueError("piece 2")
+            return i
+
+        with pytest.raises(ValueError, match="piece 1"):
+            lowrank._in_lanes(piece, range(8))
+        # Neither lane runs a piece after its failure.
+        assert sorted(ran) == [0, 1, 2]
+
+    def test_a_failure_stops_the_other_lane(self, monkeypatch):
+        made = _counting_threads(monkeypatch)
+        monkeypatch.setattr(lowrank, "LANES", 2)
+        ran = []
+
+        def piece(i):
+            ran.append(i)
+            if i == 0:  # lane 0 goes on only once lane 1 has failed and ended
+                made[0].join(timeout=10)
+                assert not made[0].is_alive()
+            if i == 1:
+                raise ValueError("piece 1")
+            return i
+
+        with pytest.raises(ValueError, match="piece 1"):
+            lowrank._in_lanes(piece, range(6))
+        assert sorted(ran) == [0, 1]
+
+    def test_lower_failure_on_lane_zero_wins(self, monkeypatch):
+        monkeypatch.setattr(lowrank, "LANES", 2)
+
+        def piece(i):
+            if i in (2, 5):
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError) as raised:
+            lowrank._in_lanes(piece, range(8))
+        assert raised.value.args == (2,)
+
+    def test_more_lanes_than_cores_under_fast_switching(self, monkeypatch):
+        # Lanes share the result and failure lists, one slot per writer; a
+        # lost or misplaced write would show here.
+        monkeypatch.setattr(lowrank, "LANES", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for fail in (None, 997, 3, 0):
+                def piece(i):
+                    if fail is not None and i >= fail and i % 7 == fail % 7:
+                        raise IndexError(i)
+                    return [i] * (i % 5)
+
+                if fail is None:
+                    want = [[i] * (i % 5) for i in range(2000)]
+                    assert lowrank._in_lanes(piece, range(2000)) == want
+                else:
+                    with pytest.raises(IndexError) as raised:
+                        lowrank._in_lanes(piece, range(2000))
+                    assert raised.value.args == (fail,)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_lane_starts_no_thread(self, monkeypatch):
+        made = _counting_threads(monkeypatch)
+        rows = np.ones((3 * lowrank.LANE_MIN_ROWS, 4))
+        monkeypatch.setattr(lowrank, "LANES", 2)
+        rowwise_matmul(rows, np.eye(4))
+        assert len(made) == 1 and not made[0].is_alive()
+        made.clear()
+        monkeypatch.setattr(lowrank, "LANES", 1)
+        assert lowrank._in_lanes(lambda i: i, range(5)) == list(range(5))
+        assert np.array_equal(rowwise_matmul(rows, np.eye(4)), rows)
+        assert made == []
+
+    def test_short_input_runs_on_the_calling_thread(self, monkeypatch):
+        made = _counting_threads(monkeypatch)
+        monkeypatch.setattr(lowrank, "LANES", 2)
+        rowwise_matmul(np.ones((2 * lowrank.LANE_MIN_ROWS - 1, 3)), np.eye(3))
+        rowwise_matmul(np.ones((0, 3)), np.eye(3))
+        assert made == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embstab.lowrank
 import embstab.metrics
 
 from embstab import (
@@ -347,6 +348,17 @@ class TestRankCorrelationReport:
         with mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
             assert rank_correlation_report(items, users_a, users_b, top_k=top_k, p=p) == want
 
+    @given(tie_heavy_rankings())
+    @settings(max_examples=200, deadline=None)
+    def test_same_result_on_one_and_two_lanes(self, case):
+        items, users_a, users_b, top_k, p, budget = case
+        results = []
+        for lanes in (1, 2):
+            with mock.patch.object(embstab.lowrank, "LANES", lanes), \
+                    mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
+                results.append(rank_correlation_report(items, users_a, users_b, top_k=top_k, p=p))
+        assert results[0] == results[1]
+
     def test_boundary_tie_keeps_smaller_ids(self):
         # Under A, five items tie below item 40; under B, six tie below
         # item 1. At k = 3 only two of them fit, and on every block they must
@@ -380,6 +392,25 @@ class TestRankCorrelationReport:
         full_scores = 2000 * 20_000 * 8
         assert peaks[0] < full_scores / 8
         assert peaks[1] <= 1.10 * peaks[0]
+
+    def test_two_lanes_hold_at_most_two_blocks(self, rng):
+        # Each lane holds one block's scores at a time, whatever the user count.
+        items = EmbeddingMatrix.of_items(rng.standard_normal((20_000, 8)))
+        vectors = rng.standard_normal((4000, 8))
+        peaks = {}
+        for lanes in (1, 2):
+            for n_users in (2000, 4000):
+                users_a = EmbeddingMatrix.of_users(vectors[:n_users])
+                users_b = EmbeddingMatrix.of_users(vectors[:n_users] + 0.1, ids=users_a.ids)
+                tracemalloc.start()
+                try:
+                    with mock.patch.object(embstab.lowrank, "LANES", lanes):
+                        rank_correlation_report(items, users_a, users_b)
+                    peaks[lanes, n_users] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[2, 2000] <= 2.2 * peaks[1, 2000]
+        assert peaks[2, 4000] <= 2.2 * peaks[1, 2000]
 
     def test_width_mismatch(self):
         items, users = random_pair(10, 5, 4, seed=12)
