@@ -6,8 +6,8 @@ apply (stream an embedding file through a stored transform). Diagnostics
 go to standard error; data goes to files. Exit codes: 0 success, 2
 validation error (bad dimensions, unknown run ids, insufficient overlap,
 rank deficiency, a zero-norm row in a compared run, a `--top-k` below 1,
-an `--rbo-p` outside (0, 1) or a non-numeric config value), 3 I/O error
-(including a malformed run `meta`) or out of memory.
+an `--rbo-p` outside (0, 1), a non-numeric config value or a stale
+reference), 3 I/O error (including a malformed run `meta`) or out of memory.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", required=True)
     p.add_argument("--run-id", required=True)
     p.add_argument("--out", required=True, help="store root directory")
-    p.add_argument("--ref", default=None, help="pin a reference run id (default: latest)")
+    p.add_argument("--ref", help="pin a reference run id (default: latest); "
+                   "pinning an older run needs --no-advance")
     p.add_argument("--rank-policy", choices=RANK_POLICIES, default="strict")
     p.add_argument("--min-overlap", type=int, default=None)
     p.add_argument(
@@ -111,10 +112,7 @@ def _report_truncation(run) -> None:
 def _cmd_init(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     run, _ = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
-    store = RunStore(args.out)
-    store.init()
-    record = store.save_run(run, items, users)
-    store.advance_reference(record)
+    RunStore(args.out).save_run(run, items, users, advance=True)
     _report_truncation(run)
     print(f"initialized reference space from run {args.run_id!r}", file=sys.stderr)
     return EXIT_OK
@@ -132,9 +130,7 @@ def _cmd_stabilize(args) -> int:
         rank_policy=args.rank_policy,
         min_overlap=args.min_overlap,
     )
-    record = store.save_run(run, items, users)
-    if not args.no_advance:
-        store.advance_reference(record)
+    store.save_run(run, items, users, advance=not args.no_advance)
     _report_truncation(run)
     print(
         f"stabilized run {args.run_id!r} against reference {ref.run_id!r}",

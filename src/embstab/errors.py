@@ -50,6 +50,10 @@ class UnknownRun(EmbStabError):
     """No stored run with the requested id."""
 
 
+class StaleReference(EmbStabError):
+    """The latest reference is no longer the one a run was aligned to."""
+
+
 class CorruptFile(EmbStabError):
     """Stored artifact failed checksum or structural validation."""
 

@@ -30,14 +30,14 @@ embeddings; items.emb doubles as the chaining anchor), `raw_items.emb`,
 `raw_users.emb` (verbatim inputs, kept for raw-mode validation), `mT.olt`,
 `mW.olt` (composed maps, float64), and `meta` (JSON run record).
 
-One advisory lock, `save.lock` at the store root, guards both writes: the
-save of a run and the advance of the pointer. A writer that finds it held
-waits for it. Saves write the run under `runs/.staging-<run_id>/`
-(removing what a failed save left there) and rename it into place once
-`meta` is written, so a failed save never blocks a retry under its id. The
-`latest_ref` pointer file at the store root holds the current reference
-run id and is advanced by write-new-then-rename, so readers never block
-and a crash cannot leave it pointing at garbage.
+The `latest_ref` pointer file at the store root names the current reference
+run. A commit is one hold of one advisory lock, `save.lock` at the root; a
+writer that finds it held waits. save_run advances the pointer only if it
+still names the run's reference or the run is a seed (compare-and-swap). It
+writes the run under `runs/.staging-<run_id>/` and the pointer to
+`latest_ref.tmp`, syncs them, renames the run into place, then the pointer
+over `latest_ref`. Readers never block. A commit that fails at any step
+lists no run and leaves the pointer, so a retry under its id works.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidRunId, UnknownRun
+from .errors import CorruptFile, InvalidRunId, StaleReference, UnknownRun
 from .lowrank import EmbeddingMatrix, Role
 from .stabilizer import ReferenceSpace, StabilizedRun
 
@@ -146,6 +146,14 @@ def _write_sealed(path, header: bytes, body) -> str:
     finally:
         tmp.unlink(missing_ok=True)
     return digest.hexdigest()
+
+
+def _fsync(path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_embedding_chunks(path, role: Role, precision: int, count: int, dim: int, chunks) -> str:
@@ -293,17 +301,23 @@ class RunStore:
         run: StabilizedRun,
         raw_items: EmbeddingMatrix,
         raw_users: EmbeddingMatrix,
+        *,
+        advance: bool = False,
     ) -> RunRecord:
-        """Persist one stabilized run, recording the rank policy it ran under.
-        The run directory is append-only: saving an existing run id fails
-        rather than rewriting history."""
+        """Persist one stabilized run and the rank policy it ran under, and
+        with `advance` point `latest_ref` at it. Runs are append-only: saving
+        a stored run id fails. Unless the run is a seed (its own reference),
+        advancing raises StaleReference before any write if `latest_ref` moved on."""
         directory = self.run_dir(run.run_id)
         self.init()
         staging = self.runs_dir / f".staging-{run.run_id}"
+        pointer = self.root / "latest_ref.tmp"
         with open(self.root / "save.lock", "w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-            if directory.exists():
+            if (directory / "meta").exists():
                 raise FileExistsError(f"run {run.run_id!r} already stored; runs are append-only")
+            if advance and run.reference_run_id not in (run.run_id, self.latest_reference_id()):
+                raise StaleReference(f"{run.reference_run_id!r} is no longer the latest reference")
             shutil.rmtree(staging, ignore_errors=True)
             staging.mkdir()
             files = {
@@ -325,7 +339,21 @@ class RunStore:
                 files=files,
             )
             (staging / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
+            if advance:
+                pointer.write_text(run.run_id + "\n")
+                _fsync(pointer)
+            for path in [*staging.iterdir(), staging]:
+                _fsync(path)
+            shutil.rmtree(directory, ignore_errors=True)  # no meta: an older store's failed save
             staging.rename(directory)
+            if advance:
+                try:
+                    os.replace(pointer, self.latest_ref_path)
+                except BaseException:
+                    directory.rename(staging)
+                    raise
+            _fsync(self.runs_dir)
+            _fsync(self.root)
         return record
 
     def load_record(self, run_id: str) -> RunRecord:
@@ -392,18 +420,3 @@ class RunStore:
         record = self.load_record(run_id)
         anchor = read_embeddings(self.run_dir(record.run_id) / record.anchor)
         return ReferenceSpace(run_id=record.run_id, anchor_items=anchor)
-
-    def advance_reference(self, record: RunRecord) -> None:
-        """Atomically point `latest_ref` at the given run.
-
-        Validates the record first (a half-written run must never become
-        the reference), then writes a new pointer file and renames it over
-        the old one, so readers see either the previous pointer or the new
-        one, never a partial write."""
-        self.validate_record(record)
-        self.init()
-        with open(self.root / "save.lock", "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)  # the same writer lock as save_run
-            tmp = self.root / "latest_ref.tmp"
-            tmp.write_text(record.run_id + "\n")
-            os.replace(tmp, self.latest_ref_path)

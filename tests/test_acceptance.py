@@ -295,26 +295,28 @@ def test_c8_persistence_round_trips_and_crash_safety(tmp_path):
             assert np.array_equal(read_transform(path), m)
 
     # Crash simulation: a failure between pointer write and rename leaves
-    # the previous reference in place.
+    # the previous reference in place, and no committed run behind.
     store = RunStore(tmp_path / "store")
-    store.init()
     items, users = random_pair(40, 30, 4, seed=0)
     run0, ref = init_reference(items, users, "run0")
-    rec0 = store.save_run(run0, items, users)
-    store.advance_reference(rec0)
+    store.save_run(run0, items, users, advance=True)
     items1, users1 = random_pair(40, 30, 4, seed=1)
     run1, _ = stabilize_run(items1, users1, ref, "run1")
-    rec1 = store.save_run(run1, items1, users1)
 
     with pytest.MonkeyPatch.context() as mp:
+        replace = os.replace
+
         def explode(src, dst):
-            raise RuntimeError("simulated crash")
+            if dst == store.latest_ref_path:
+                raise RuntimeError("simulated crash")
+            return replace(src, dst)
 
         mp.setattr(os, "replace", explode)
         with pytest.raises(RuntimeError):
-            store.advance_reference(rec1)
+            store.save_run(run1, items1, users1, advance=True)
     assert store.latest_reference_id() == "run0"
-    store.advance_reference(rec1)
+    assert store.list_runs() == ["run0"]
+    store.save_run(run1, items1, users1, advance=True)
     assert store.latest_reference_id() == "run1"
     announce(8, "persistence round trips and crash safety")
 

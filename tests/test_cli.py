@@ -228,10 +228,38 @@ class TestStabilize:
             "--run-id", "run2pinned",
             "--out", str(store),
             "--ref", "run0",
+            "--no-advance",
         ])
         assert rc == 0
         meta = json.loads((store / "runs" / "run2pinned" / "meta").read_text())
         assert meta["reference_run_id"] == "run0"
+
+    def test_pinned_older_reference_without_no_advance_exits_2(
+        self, sim_dir, store_with_two_runs, capsys
+    ):
+        # Advancing from run1 to a run aligned to run0 would fork the chain.
+        store = store_with_two_runs
+        capsys.readouterr()
+        assert main([
+            "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
+            "--users", str(sim_dir / "run_002.users.emb"),
+            "--run-id", "run2", "--out", str(store), "--ref", "run0",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in (store / "runs").iterdir()) == ["run0", "run1"]
+        assert (store / "latest_ref").read_text().strip() == "run1"
+
+    def test_pinned_latest_reference_advances(self, sim_dir, store_with_two_runs):
+        store = store_with_two_runs
+        assert main([
+            "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
+            "--users", str(sim_dir / "run_002.users.emb"),
+            "--run-id", "run2", "--out", str(store), "--ref", "run1",
+        ]) == 0
+        meta = json.loads((store / "runs" / "run2" / "meta").read_text())
+        assert meta["reference_run_id"] == "run1"
+        assert (store / "latest_ref").read_text().strip() == "run2"
 
     def test_nonexistent_ref_exits_2(self, sim_dir, store_with_two_runs):
         rc = main([

@@ -29,6 +29,7 @@ from embstab.errors import (
     DegenerateAlignmentWarning,
     InvalidRunId,
     RankTruncationWarning,
+    StaleReference,
     UnknownRun,
 )
 from embstab.store import write_embedding_chunks
@@ -257,17 +258,49 @@ class TestTransformFormat:
 
 def make_store_with_runs(tmp_path, n_runs=2):
     store = RunStore(tmp_path / "store")
-    store.init()
     items, users = random_pair(40, 30, 4, seed=0)
     run0, ref = init_reference(items, users, "run0")
-    records = [store.save_run(run0, items, users)]
-    store.advance_reference(records[0])
+    records = [store.save_run(run0, items, users, advance=True)]
     for k in range(1, n_runs):
         items_k, users_k = random_pair(40, 30, 4, seed=k)
         run_k, ref = stabilize_run(items_k, users_k, ref, f"run{k}")
-        records.append(store.save_run(run_k, items_k, users_k))
-        store.advance_reference(records[-1])
+        records.append(store.save_run(run_k, items_k, users_k, advance=True))
     return store, records
+
+
+def next_run(store, run_id, seed):
+    """A run stabilized against the store's latest reference, with its inputs."""
+    items, users = random_pair(40, 30, 4, seed=seed)
+    run, _ = stabilize_run(items, users, store.reference_space(), run_id)
+    return run, items, users
+
+
+def fail_call(monkeypatch, owner, name, index):
+    """Make the `index`-th call (from 0) of owner.name raise OSError, once."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) - 1 == index:
+            raise OSError(f"simulated failure in {name} call {index}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+# Each step of a commit that can fail, in the order a commit takes them, as
+# (owner, function, index of the call that fails). The six files of a run
+# are sealed by an os.replace each, in this order.
+SEALED = ("items.emb", "users.emb", "raw_items.emb", "raw_users.emb", "mT.olt", "mW.olt")
+COMMIT_STEPS = {
+    **{f"seal_{name}": (os, "replace", k) for k, name in enumerate(SEALED)},
+    "meta_write": (pathlib.Path, "write_text", 0),
+    "pointer_tmp_write": (pathlib.Path, "write_text", 1),
+    "staging_rename": (pathlib.Path, "rename", 0),
+    "pointer_replace": (os, "replace", 6),
+}
 
 
 class TestRunStore:
@@ -424,38 +457,49 @@ class TestRunStore:
         store.validate_record(records[0])
         assert store.load_record("run0") == records[0]
 
-    def test_advance_with_missing_anchor_leaves_pointer(self, tmp_path):
-        store, records = make_store_with_runs(tmp_path, n_runs=2)
-        (store.run_dir("run1") / "items.emb").unlink()
-        before = store.latest_reference_id()
-        with pytest.raises(CorruptFile):
-            store.advance_reference(records[1])
-        assert store.latest_reference_id() == before
+    def test_advance_with_missing_anchor_leaves_pointer(self, tmp_path, monkeypatch):
+        store, _ = make_store_with_runs(tmp_path, n_runs=2)
+        run, items, users = next_run(store, "run2", seed=2)
+
+        def no_anchor(emb, path):
+            if path.name == "items.emb":
+                raise OSError("simulated failure writing the anchor")
+            return write_embeddings(emb, path)
+
+        monkeypatch.setattr(embstab.store, "write_embeddings", no_anchor)
+        with pytest.raises(OSError, match="anchor"):
+            store.save_run(run, items, users, advance=True)
+        assert store.latest_reference_id() == "run1"
+        assert store.list_runs() == ["run0", "run1"]
 
     def test_crash_between_write_and_rename(self, tmp_path, monkeypatch):
-        store, records = make_store_with_runs(tmp_path, n_runs=2)
-        # Roll the pointer back to run0, then simulate a crash while
-        # advancing to run1: the rename never happens.
-        store.advance_reference(records[0])
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run, items, users = next_run(store, "run1", seed=1)
+        replace = os.replace
 
         def explode(src, dst):
-            raise RuntimeError("simulated crash")
+            # Only the pointer rename crashes; the run's own files seal.
+            if dst == store.latest_ref_path:
+                raise RuntimeError("simulated crash")
+            return replace(src, dst)
 
         monkeypatch.setattr(os, "replace", explode)
         with pytest.raises(RuntimeError):
-            store.advance_reference(records[1])
+            store.save_run(run, items, users, advance=True)
         monkeypatch.undo()
         assert store.latest_reference_id() == "run0"
+        assert store.list_runs() == ["run0"]
 
     def test_advance_waits_for_the_save_lock(self, tmp_path):
         import fcntl
 
-        store, records = make_store_with_runs(tmp_path, n_runs=2)
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run, items, users = next_run(store, "run1", seed=1)
         errors = []
 
         def advance():
             try:
-                store.advance_reference(records[0])
+                store.save_run(run, items, users, advance=True)
             except Exception as exc:
                 errors.append(exc)
 
@@ -465,12 +509,98 @@ class TestRunStore:
             advancer.start()
             advancer.join(timeout=1.0)
             assert advancer.is_alive()
-            assert store.latest_reference_id() == "run1"
+            assert store.latest_reference_id() == "run0"
+            assert store.list_runs() == ["run0"]
         advancer.join(timeout=60)
         assert not advancer.is_alive()
         assert errors == []
-        assert store.latest_reference_id() == "run0"
+        assert store.latest_reference_id() == "run1"
         assert not (store.root / "latest_ref.lock").exists()
+
+    def test_lost_update_is_refused(self, tmp_path):
+        # B and C both read reference A; B commits first.
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run_b, items_b, users_b = next_run(store, "B", seed=1)
+        run_c, items_c, users_c = next_run(store, "C", seed=2)
+        store.save_run(run_b, items_b, users_b, advance=True)
+        with pytest.raises(StaleReference):
+            store.save_run(run_c, items_c, users_c, advance=True)
+        assert store.latest_reference_id() == "B"
+        assert sorted(p.name for p in store.runs_dir.iterdir()) == ["B", "run0"]
+        # Stabilized again against B, C commits onto the chain.
+        run_c, _, _ = next_run(store, "C", seed=2)
+        assert store.save_run(run_c, items_c, users_c, advance=True).reference_run_id == "B"
+        assert store.latest_reference_id() == "C"
+
+    def test_concurrent_writers_keep_one_linear_chain(self, tmp_path):
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        writers, runs_each = 4, 3
+        errors = []
+
+        def write(w):
+            try:
+                for j in range(runs_each):
+                    while True:
+                        run, items, users = next_run(store, f"w{w}r{j}", seed=10 * w + j + 1)
+                        try:
+                            store.save_run(run, items, users, advance=True)
+                            break
+                        except StaleReference:
+                            continue
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        chain = [store.latest_reference_id()]
+        while (ref := store.load_record(chain[-1]).reference_run_id) != chain[-1]:
+            chain.append(ref)
+        assert chain[-1] == "run0"
+        assert len(chain) == len(set(chain)) == writers * runs_each + 1
+        assert sorted(chain) == store.list_runs()
+
+    @pytest.mark.parametrize("step", sorted(COMMIT_STEPS))
+    def test_failed_commit_step_leaves_store_and_lets_retry(self, tmp_path, monkeypatch, step):
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run, items, users = next_run(store, "run1", seed=1)
+        owner, name, index = COMMIT_STEPS[step]
+        calls = fail_call(monkeypatch, owner, name, index)
+        with pytest.raises(OSError, match="simulated"):
+            store.save_run(run, items, users, advance=True)
+        monkeypatch.undo()
+        if step.startswith("seal_"):
+            assert pathlib.Path(calls[index][1]).name == step[len("seal_"):]
+        assert store.latest_reference_id() == "run0"
+        assert store.list_runs() == ["run0"]
+        assert not store.run_dir("run1").exists()
+
+        record = store.save_run(run, items, users, advance=True)
+        store.validate_record(record)
+        assert store.latest_reference_id() == "run1"
+        assert store.list_runs() == ["run0", "run1"]
+        assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
+
+    def test_run_dir_without_meta_does_not_block_its_id(self, tmp_path):
+        # Stores written before runs were staged can hold a meta-less run dir.
+        store = RunStore(tmp_path / "store")
+        store.run_dir("r1").mkdir(parents=True)
+        (store.run_dir("r1") / "items.emb").write_bytes(b"partial")
+        items, users = random_pair(40, 30, 4, seed=0)
+        run, _ = init_reference(items, users, "r1")
+        record = store.save_run(run, items, users, advance=True)
+        store.validate_record(record)
+        assert store.list_runs() == ["r1"]
+        assert store.latest_reference_id() == "r1"
 
     def test_unsafe_run_id_rejected(self, tmp_path):
         store = RunStore(tmp_path / "store")
