@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", help="pin a reference run id (default: latest); "
                    "pinning an older run needs --no-advance")
     p.add_argument("--rank-policy", choices=RANK_POLICIES, default="strict")
-    p.add_argument("--min-overlap", type=int, default=None)
     p.add_argument(
         "--no-advance",
         action="store_true",
@@ -122,14 +121,7 @@ def _cmd_stabilize(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     store = RunStore(args.out)
     ref = store.reference_space(args.ref)
-    run, _ = stabilize_run(
-        items,
-        users,
-        ref,
-        run_id=args.run_id,
-        rank_policy=args.rank_policy,
-        min_overlap=args.min_overlap,
-    )
+    run, _ = stabilize_run(items, users, ref, run_id=args.run_id, rank_policy=args.rank_policy)
     store.save_run(run, items, users, advance=not args.no_advance)
     _report_truncation(run)
     print(

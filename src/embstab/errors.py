@@ -22,11 +22,8 @@ class RoleMismatch(EmbStabError):
 
 
 class InsufficientOverlap(EmbStabError):
-    """Too few shared ids between a run and its reference to align reliably."""
-
-
-class EmptyIntersection(EmbStabError):
-    """The two inputs share no ids."""
+    """Too few shared ids: fewer than max(e, 10) item ids between a run and
+    the reference it aligns to, or none between two compared runs."""
 
 
 class ZeroNormRow(EmbStabError):

@@ -41,7 +41,11 @@ from .errors import (
     RoleMismatch,
 )
 
-# Singular values below this fraction of the largest are treated as zero.
+# Singular values at or below max(this, e * eps) times the largest are
+# treated as zero, eps being the machine epsilon of the coarser input dtype
+# (numpy's matrix_rank default). For float64 this floor governs up to e of
+# 4503; float32 rounding leaves about 1e-8 of the largest in a dead
+# direction, which e * eps(float32) clears.
 SV_TRUNCATION_RTOL = 1e-12
 
 # Rows per block of the R-factor TSQR, raised to 2e for wider inputs.
@@ -187,6 +191,17 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(self.role, self.ids, self.vectors.astype(dtype))
 
 
+def _join(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, rows_a, rows_b): the ids both matrices hold, ascending, and each
+    side's rows at those ids, paired by id and cast to float64."""
+    ids = np.intersect1d(a.ids, b.ids, assume_unique=True)
+    return (
+        ids,
+        a.vectors[a.positions(ids)].astype(np.float64, copy=False),
+        b.vectors[b.positions(ids)].astype(np.float64, copy=False),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SvdTransform:
     """Per-run maps into the score space's principal-direction coordinates.
@@ -265,9 +280,10 @@ def low_rank_svd_trans(
         items: n x e item embeddings.
         users: m x e user embeddings.
         rank_policy: "strict" raises RankDeficient when any singular value
-            falls below SV_TRUNCATION_RTOL times the largest; "truncate"
-            zeroes the affected map columns instead, so the maps stay
-            e x e at effective rank below e.
+            falls to max(SV_TRUNCATION_RTOL, e * eps) times the largest,
+            eps being the larger machine epsilon of the two input dtypes;
+            "truncate" zeroes the affected map columns instead, so the maps
+            stay e x e at effective rank below e.
 
     Returns:
         SvdTransform whose maps diagonalize both transformed Grams and
@@ -288,7 +304,8 @@ def low_rank_svd_trans(
     u, s, vt = _canonical_svd(r_t @ r_w.T)
 
     dim = items.dim
-    threshold = SV_TRUNCATION_RTOL * (s[0] if s.size else 0.0)
+    eps = max(np.finfo(items.vectors.dtype).eps, np.finfo(users.vectors.dtype).eps)
+    threshold = max(SV_TRUNCATION_RTOL, dim * eps) * (s[0] if s.size else 0.0)
     kept = int(np.count_nonzero(s > threshold))
     if kept == 0:
         raise RankDeficient("score space has no singular value above the truncation threshold")

@@ -28,12 +28,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateId,
-    EmptyIntersection,
+    InsufficientOverlap,
     InvalidConfig,
     RoleMismatch,
     ZeroNormRow,
 )
-from .lowrank import EmbeddingMatrix, _in_lanes
+from .lowrank import EmbeddingMatrix, _in_lanes, _join
 
 # Score-matrix elements one block of users may hold (8 MiB of float64);
 # rank_correlation_report scores max(1, this // n_items) users at a time.
@@ -75,11 +75,9 @@ def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, 
     """
     if a.role is not b.role:
         raise RoleMismatch(f"cannot compare roles {a.role.name} and {b.role.name}")
-    shared = np.intersect1d(a.ids, b.ids, assume_unique=True)
+    shared, va, vb = _join(a, b)
     if shared.size == 0:
-        raise EmptyIntersection("inputs share no ids")
-    va = a.vectors.astype(np.float64, copy=False)[a.positions(shared)]
-    vb = b.vectors.astype(np.float64, copy=False)[b.positions(shared)]
+        raise InsufficientOverlap("inputs share no ids")
     na = np.linalg.norm(va, axis=1)
     nb = np.linalg.norm(vb, axis=1)
     dead = (na == 0.0) | (nb == 0.0)
@@ -193,16 +191,14 @@ def rank_correlation_report(
         raise DimensionMismatch(
             f"widths differ: items {items_ref.dim}, users {users_a.dim} and {users_b.dim}"
         )
-    shared = np.intersect1d(users_a.ids, users_b.ids, assume_unique=True)
+    shared, ua, ub = _join(users_a, users_b)
     if shared.size == 0:
-        raise EmptyIntersection("user sets share no ids")
+        raise InsufficientOverlap("user sets share no ids")
     # Columns sorted by ascending item id, so a tie on score breaks toward
     # the smaller id; ranking columns instead of ids gives the same RBO,
     # since ids are unique. Negating the items negates every score exactly.
     item_order = np.argsort(items_ref.ids, kind="stable")
     neg_items_t = -items_ref.vectors.astype(np.float64, copy=False)[item_order].T
-    ua = users_a.vectors.astype(np.float64, copy=False)[users_a.positions(shared)]
-    ub = users_b.vectors.astype(np.float64, copy=False)[users_b.positions(shared)]
     k = min(top_k, items_ref.n)
     rows = max(1, SCORE_BLOCK_ELEMENTS // max(1, items_ref.n))
 

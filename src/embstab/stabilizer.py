@@ -19,15 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientOverlap
-from .lowrank import EmbeddingMatrix, SvdTransform, apply_transform, low_rank_svd_trans
+from .lowrank import EmbeddingMatrix, SvdTransform, _join, apply_transform, low_rank_svd_trans
 from .procrustes import AlignmentMap, ortho_procrustes
-
-
-def default_min_overlap(dim: int) -> int:
-    """Smallest id overlap accepted for alignment: max(dim, 10).
-
-    Fewer than dim well-spread rows underdetermine the orthogonal map."""
-    return max(dim, 10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +121,6 @@ def stabilize_run(
     ref: ReferenceSpace,
     run_id: str,
     rank_policy: str = "strict",
-    min_overlap: int | None = None,
 ) -> tuple[StabilizedRun, ReferenceSpace]:
     """Map one run's embeddings into the reference's standard space.
 
@@ -138,29 +130,27 @@ def stabilize_run(
     alignment. The returned ReferenceSpace holds this run's stabilized
     items, ready to serve as the next (rolling) anchor.
 
-    Raises InsufficientOverlap when fewer than min_overlap ids are shared
-    (default max(dim, 10)), DimensionMismatch when the run's width differs
+    Raises InsufficientOverlap when fewer than max(e, 10) item ids are
+    shared with the anchor, DimensionMismatch when the run's width differs
     from the reference's.
     """
     if items.dim != ref.dimension:
         raise DimensionMismatch(
             f"run width {items.dim} != reference dimension {ref.dimension}"
         )
-    if min_overlap is None:
-        min_overlap = default_min_overlap(items.dim)
     transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
 
-    shared = np.intersect1d(items.ids, ref.anchor_items.ids, assume_unique=True)
-    if shared.size < min_overlap:
+    shared, shared_items, target = _join(items, ref.anchor_items)
+    # The orthogonal map is unique only when the e x e cross-covariance has
+    # full rank (Schoenemann, Psychometrika 1966), which fewer than e shared
+    # rows cannot give; 10 keeps narrow runs off a handful of items.
+    need = max(items.dim, 10)
+    if shared.size < need:
         raise InsufficientOverlap(
             f"{shared.size} shared item ids with reference {ref.run_id!r}, "
-            f"need at least {min_overlap}"
+            f"need at least {need}"
         )
-    shared_items = items.vectors[items.positions(shared)]
-    source = shared_items.astype(np.float64, copy=False) @ transform.item_map
-    anchor = ref.anchor_items
-    target = anchor.vectors[anchor.positions(shared)].astype(np.float64, copy=False)
-    alignment = ortho_procrustes(source, target)
+    alignment = ortho_procrustes(shared_items @ transform.item_map, target)
     return _build_run(run_id, ref.run_id, items, users, transform, rank_policy, alignment)
 
 

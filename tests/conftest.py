@@ -46,6 +46,20 @@ def random_pair(n, m, dim, seed=0, dtype=np.float64):
     return items, users
 
 
+def rank_r_pair(n, m, dim, rank, seed=0, dtype=np.float64):
+    """Embedding pair whose score matrix has exact rank `rank` below `dim`:
+    the items span `rank` random directions, the users are full rank. Built
+    in float64, then cast to dtype."""
+    gen = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(dim)
+    items = gen.standard_normal((n, rank)) @ (gen.standard_normal((rank, dim)) * scale)
+    users = gen.standard_normal((m, dim)) * scale
+    return (
+        EmbeddingMatrix.of_items(items.astype(dtype)),
+        EmbeddingMatrix.of_users(users.astype(dtype)),
+    )
+
+
 def random_orthogonal(dim, seed=0):
     """Haar-distributed orthogonal matrix (QR with the sign correction)."""
     gen = np.random.default_rng(seed)

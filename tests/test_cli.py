@@ -27,7 +27,7 @@ import embstab.metrics
 import embstab.store
 from embstab.cli import main
 from embstab.errors import DegenerateAlignmentWarning, RankTruncationWarning
-from conftest import MALFORMED_META, random_pair
+from conftest import MALFORMED_META, random_pair, rank_r_pair
 
 
 SIM_CFG = (
@@ -184,8 +184,45 @@ class TestInit:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("dim, rank", [(8, 5), (64, 40), (128, 100)])
+    def test_float32_rank_deficient_exits_2(self, tmp_path, capsys, dim, rank):
+        items, users = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim, dtype=np.float32)
+        write_embeddings(items, tmp_path / "i.emb")
+        write_embeddings(users, tmp_path / "u.emb")
+        rc = main([
+            "init", "--items", str(tmp_path / "i.emb"), "--users", str(tmp_path / "u.emb"),
+            "--run-id", "r", "--out", str(tmp_path / "store"),
+        ])
+        assert rc == 2
+        assert f"error: {dim - rank} of {dim} singular values" in capsys.readouterr().err
+
 
 class TestStabilize:
+    def test_help_lists_no_overlap_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stabilize", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--rank-policy" in out and "--min-overlap" not in out
+
+    def test_too_few_shared_items_exits_2(self, tmp_path, sim_dir, store_with_two_runs, capsys):
+        # The simulated runs are 8 wide, so 10 shared item ids are needed.
+        base = read_embeddings(sim_dir / "run_001.items.emb")
+        ids = base.ids.copy()
+        ids[9:] += 10_000
+        write_embeddings(EmbeddingMatrix.of_items(base.vectors, ids=ids), tmp_path / "moved.emb")
+        capsys.readouterr()
+        rc = main([
+            "stabilize",
+            "--items", str(tmp_path / "moved.emb"),
+            "--users", str(sim_dir / "run_001.users.emb"),
+            "--run-id", "run2",
+            "--out", str(store_with_two_runs),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: 9 shared item ids with reference 'run1', need at least 10\n"
+        )
     def test_end_to_end_improves_similarity(self, tmp_path, store_with_two_runs):
         store = store_with_two_runs
         out = tmp_path / "reports"

@@ -25,7 +25,7 @@ from embstab.errors import (
     RankTruncationWarning,
     RoleMismatch,
 )
-from conftest import random_pair, rel_fro
+from conftest import random_pair, rank_r_pair, rel_fro
 
 
 class TestEmbeddingMatrix:
@@ -80,6 +80,46 @@ class TestEmbeddingMatrix:
                 EmbeddingMatrix.of_users(vectors, ids=ids)
         else:
             assert np.array_equal(EmbeddingMatrix.of_users(vectors, ids=ids).ids, ids)
+
+
+# Small ids overlap often; the rest sit anywhere in the uint64 range.
+JOIN_IDS = st.lists(
+    st.one_of(st.integers(0, 30), st.integers(0, 2**64 - 1)), unique=True, max_size=40
+)
+
+
+class TestJoin:
+    @given(
+        a_ids=JOIN_IDS,
+        b_ids=JOIN_IDS,
+        f32_a=st.booleans(),
+        f32_b=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(a_ids=[3, 1, 2], b_ids=[2, 3, 1], f32_a=False, f32_b=True, seed=0)  # full, shuffled
+    @example(a_ids=[0, 1], b_ids=[2, 3], f32_a=True, f32_b=False, seed=0)  # empty
+    @example(a_ids=[], b_ids=[5], f32_a=False, f32_b=False, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_pair_by_id_against_a_dict_oracle(self, a_ids, b_ids, f32_a, f32_b, seed):
+        gen = np.random.default_rng(seed)
+        a = EmbeddingMatrix.of_items(
+            gen.standard_normal((len(a_ids), 3)).astype(np.float32 if f32_a else np.float64),
+            ids=np.array(a_ids, dtype=np.uint64),
+        )
+        b = EmbeddingMatrix.of_items(
+            gen.standard_normal((len(b_ids), 3)).astype(np.float32 if f32_b else np.float64),
+            ids=np.array(b_ids, dtype=np.uint64),
+        )
+        rows_of_a = dict(zip(a_ids, a.vectors))
+        rows_of_b = dict(zip(b_ids, b.vectors))
+        shared = sorted(rows_of_a.keys() & rows_of_b.keys())
+
+        ids, rows_a, rows_b = lowrank._join(a, b)
+        assert ids.dtype == np.uint64 and ids.tolist() == shared
+        for rows, oracle in ((rows_a, rows_of_a), (rows_b, rows_of_b)):
+            assert rows.dtype == np.float64 and rows.shape == (len(shared), 3)
+            expected = np.array([oracle[i] for i in shared], dtype=np.float64).reshape(-1, 3)
+            assert np.array_equal(rows, expected)
 
 
 # Frozen from a dense SVD of the materialized 3x2 product
@@ -203,6 +243,45 @@ class TestLowRankSvdTrans:
         score = items.vectors @ users.vectors.T
         rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
         assert rel_fro(rebuilt, score) < 1e-10
+
+    # A float64 rank-r pair cast to float32 keeps about 1e-8 of s_1 in each
+    # dead direction: rounding, which the e * eps(float32) cut drops.
+    @pytest.mark.parametrize("dim, rank", [(8, 5), (64, 40), (128, 100)])
+    def test_float32_rank_deficient_strict(self, dim, rank):
+        items, users = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim, dtype=np.float32)
+        with pytest.raises(RankDeficient, match=f"{dim - rank} of {dim}"):
+            low_rank_svd_trans(items, users)
+
+    @pytest.mark.parametrize("dim, rank", [(8, 5), (64, 40), (128, 100)])
+    def test_float32_rank_deficient_truncate(self, dim, rank):
+        items64, users64 = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim)
+        items, users = items64.astype(np.float32), users64.astype(np.float32)
+        with pytest.warns(RankTruncationWarning, match=f"effective rank {rank}"):
+            tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+        assert tr.spectrum.size == rank
+        t = items.vectors.astype(np.float64)
+        w = users.vectors.astype(np.float64)
+        assert rel_fro((t @ tr.item_map) @ (w @ tr.user_map).T, t @ w.T) <= 1e-6
+        with pytest.warns(RankTruncationWarning):
+            tr64 = low_rank_svd_trans(items64, users64, rank_policy="truncate")
+        assert tr64.spectrum.size == rank
+        np.testing.assert_allclose(
+            np.abs(tr.item_map).max(), np.abs(tr64.item_map).max(), rtol=1e-3
+        )
+
+    @pytest.mark.parametrize("dim", [8, 64, 128])
+    def test_float64_cut_stays_at_the_fixed_floor(self, dim):
+        # Singular values from 1 down to 1e-10: all above 1e-12, so float64
+        # keeps every direction, although 1e-10 is far below e * eps(float32).
+        gen = np.random.default_rng(dim)
+        q_items = np.linalg.qr(gen.standard_normal((3 * dim, dim)))[0]
+        q_users = np.linalg.qr(gen.standard_normal((2 * dim, dim)))[0]
+        spectrum = np.geomspace(1.0, 1e-10, dim)
+        items = EmbeddingMatrix.of_items(q_items * spectrum)
+        users = EmbeddingMatrix.of_users(q_users)
+        tr = low_rank_svd_trans(items, users)
+        assert tr.spectrum.size == dim
+        np.testing.assert_allclose(tr.spectrum, spectrum, rtol=1e-4)
 
     def test_zero_matrix_rank_deficient_even_truncating(self):
         items = EmbeddingMatrix.of_items(np.zeros((5, 2)))

@@ -22,7 +22,7 @@ from embstab import (
 from embstab.errors import (
     DimensionMismatch,
     DuplicateId,
-    EmptyIntersection,
+    InsufficientOverlap,
     InvalidConfig,
     RoleMismatch,
     ZeroNormRow,
@@ -147,7 +147,7 @@ class TestMeanSameIdCosine:
     def test_empty_intersection(self):
         a = EmbeddingMatrix.of_items([[1.0]], ids=[1])
         b = EmbeddingMatrix.of_items([[1.0]], ids=[2])
-        with pytest.raises(EmptyIntersection):
+        with pytest.raises(InsufficientOverlap):
             mean_same_id_cosine(a, b)
 
     def test_role_mismatch(self):
@@ -424,7 +424,7 @@ class TestRankCorrelationReport:
         other = EmbeddingMatrix.of_users(
             users.vectors, ids=np.arange(100, 105, dtype=np.uint64)
         )
-        with pytest.raises(EmptyIntersection):
+        with pytest.raises(InsufficientOverlap):
             rank_correlation_report(items, users, other)
 
 

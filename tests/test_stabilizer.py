@@ -13,7 +13,7 @@ from embstab import (
     stabilize_run,
 )
 from embstab.errors import DimensionMismatch, InsufficientOverlap
-from embstab.stabilizer import default_min_overlap, score_product_error
+from embstab.stabilizer import score_product_error
 from conftest import chain_gaps, random_orthogonal, random_pair, rel_fro
 
 
@@ -207,9 +207,25 @@ class TestStabilizeRun:
         with pytest.raises(InsufficientOverlap):
             stabilize_run(items2, users, ref, "r1")
 
-    def test_min_overlap_default(self):
-        assert default_min_overlap(4) == 10
-        assert default_min_overlap(64) == 64
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_overlap_boundary(self, dim):
+        # max(e, 10) shared item ids align; one fewer raises. The run's other
+        # items carry ids the reference never saw.
+        need = max(dim, 10)
+        items, users = random_pair(40, 30, dim, seed=dim)
+        _, ref = init_reference(items, users, "r0")
+        for shared in (need - 1, need):
+            ids = np.concatenate([
+                np.arange(shared, dtype=np.uint64),
+                np.arange(1000, 1000 + 40 - shared, dtype=np.uint64),
+            ])
+            moved = EmbeddingMatrix.of_items(items.vectors, ids=ids)
+            if shared < need:
+                with pytest.raises(InsufficientOverlap, match=f"{shared} shared item ids"):
+                    stabilize_run(moved, users, ref, "r1")
+            else:
+                run, _ = stabilize_run(moved, users, ref, "r1")
+                assert run.alignment.matrix.shape == (dim, dim)
 
     def test_dimension_mismatch_with_reference(self):
         items, users = random_pair(30, 25, 4, seed=27)
