@@ -191,9 +191,13 @@ def _cmd_apply(args) -> int:
                 f"embedding width {dim} != transform row count {transform.shape[0]}"
             )
         # Same partition-invariant kernel as apply_transform, so the streamed
-        # file matches an in-memory application bit for bit.
-        out = ((chunk["id"], rowwise_matmul(chunk["vec"], transform)) for chunk in chunks)
-        write_embedding_chunks(args.out, role, precision, count, transform.shape[1], out)
+        # file matches an in-memory application bit for bit. It writes each
+        # chunk's products straight into the output records.
+        write_embedding_chunks(
+            args.out, role, precision, count, transform.shape[1],
+            ((chunk["id"], chunk["vec"]) for chunk in chunks),
+            fill=lambda out, rows: rowwise_matmul(rows, transform, out),
+        )
     return EXIT_OK
 
 

@@ -17,9 +17,13 @@ row count and e, so R is a deterministic function of the rows in their
 order, whatever pieces they were read in; a side of at most one block
 takes the single QR alone.
 
-The apply kernel cuts long inputs into up to LANES contiguous row parts,
-each run on a thread of its own (see rowwise_matmul). Each output row
-depends only on its input row, so the bytes are the same at any lane count.
+The apply kernel (rowwise_matmul) sums each output in one fixed order,
+ascending over the input width. It multiplies small tiles of rows,
+transposed so that the rows are the innermost axis, which keeps that order
+for any map, and writes each result straight into the caller's output. Long
+inputs are cut into up to LANES contiguous row parts, each run on a thread
+of its own. Each output row depends only on its input row, so the bytes are
+the same at any lane count and any tiling.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ LANES = min(2, _usable_cpus())
 
 # Fewest rows the apply kernel gives one lane; shorter inputs run on one.
 LANE_MIN_ROWS = 4096
+
+# Rows per tile of the apply kernel: a tile's float64 scratch and result,
+# e x TILE_ROWS each, stay in L2 (256 KiB each at e = 64). Of 256, 512 and
+# 1024 rows, 512 and 1024 ran the kernel fastest at e = 32 and 64.
+TILE_ROWS = 512
 
 
 def _in_lanes(fn, pieces) -> list:
@@ -331,36 +340,53 @@ def low_rank_svd_trans(
     return SvdTransform(item_map=item_map, user_map=user_map, spectrum=s[:kept])
 
 
-def rowwise_matmul(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+def rowwise_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with a fixed ascending-k accumulation order.
 
     Each output element is ((0 + r[0] m[0, j]) + r[1] m[1, j]) + ... in
     float64, every product rounded before its add, so it depends only on its
     own input row: any row partition reproduces the per-row result bit for
     bit, which a BLAS matmul, whose reduction order varies with the operand
-    shape, does not. The unoptimized einsum keeps that order only with k in
-    its outer loop; with one output column or a non-C-ordered m it reduces
-    in another order, hence the fresh C-ordered copy of m with one extra
-    zero column, sliced off the result.
+    shape, does not.
+
+    The rows go through in tiles of TILE_ROWS. Each tile is transposed and
+    cast into a float64 e x T scratch, and the unoptimized einsum
+    "kj,kn->jn" multiplies it by m. With the tile's rows as the innermost,
+    contiguous axis of both the scratch and the result, the einsum keeps k
+    in an outer loop and adds one rounded product per k to a whole row of
+    results, ascending in k, whatever the layout of m or the output width.
+    (Products laid out rows by columns, as rows @ m, reduce in another order
+    when the output has one column: k is then the innermost axis.) The
+    e_out x T result is transposed into `out`, cast to its dtype. `out` is
+    any (n, e_out) float array or view, such as the `vec` field of .emb
+    records, or a new float64 array when omitted. The scratch is two tiles
+    per lane, so the kernel adds no memory that grows with n.
 
     The n rows are cut into min(LANES, n // LANE_MIN_ROWS) contiguous parts
-    (one at least), each cast to float64 and multiplied on its own lane
-    into one preallocated output. Since every row is computed alone, the
-    bytes are the same at any lane count.
+    (one at least), each tiled and multiplied on its own lane. Since every
+    row is computed alone, the bytes are the same at any lane count.
     """
-    rows = np.asarray(rows)
-    m_padded = np.zeros((m.shape[0], m.shape[1] + 1))
-    m_padded[:, :-1] = m
-    n = rows.shape[0]
-    out = np.empty((n, m_padded.shape[1]))
+    rows, m = np.asarray(rows), np.asarray(m, dtype=np.float64)
+    n, e = rows.shape
+    if out is None:
+        out = np.empty((n, m.shape[1]))
     parts = max(1, min(LANES, n // LANE_MIN_ROWS))
 
     def part(span: slice) -> None:
-        part_rows = rows[span].astype(np.float64, copy=False)
-        np.einsum("nk,kj->nj", part_rows, m_padded, out=out[span])
+        # TILE_ROWS columns even for a shorter tile: a one-row tile whose k
+        # axis were contiguous would go to einsum's unrolled dot loop, which
+        # sums in another order.
+        scratch = np.empty((e, TILE_ROWS))
+        result = np.empty((m.shape[1], TILE_ROWS))
+        for start in range(span.start, span.stop, TILE_ROWS):
+            stop = min(start + TILE_ROWS, span.stop)
+            tile = scratch[:, : stop - start]
+            tile[...] = rows[start:stop].T
+            np.einsum("kj,kn->jn", m, tile, out=result[:, : stop - start])
+            out[start:stop] = result[:, : stop - start].T
 
     _in_lanes(part, [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
-    return out[:, :-1]
+    return out
 
 
 def apply_transform(emb: EmbeddingMatrix, matrix) -> EmbeddingMatrix:
@@ -377,7 +403,5 @@ def apply_transform(emb: EmbeddingMatrix, matrix) -> EmbeddingMatrix:
         raise DimensionMismatch(
             f"embedding width {emb.dim} != transform row count {m.shape[0]}"
         )
-    out = rowwise_matmul(emb.vectors, m)
-    if emb.vectors.dtype == np.float32:
-        out = out.astype(np.float32)
-    return EmbeddingMatrix(emb.role, emb.ids, out)
+    out = np.empty((emb.n, m.shape[1]), dtype=emb.vectors.dtype)
+    return EmbeddingMatrix(emb.role, emb.ids, rowwise_matmul(emb.vectors, m, out))

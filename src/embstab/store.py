@@ -13,7 +13,16 @@ Embedding file (.emb), all little-endian:
     digest    32 bytes sha256 of all preceding bytes
 
 open_embeddings and write_embedding_chunks are the only .emb codec: the
-library, RunStore and the CLI's `apply` all stream records through them.
+library, RunStore and the CLI's `apply` all stream records through them, at
+most CHUNK_ROWS records at a time. On a file of more than one chunk, each
+side keeps one helper thread busy behind its caller: the reader hashes
+chunk i while the caller works on it and the next read fills a second
+buffer; the writer writes and hashes chunk i while the caller fills chunk
+i+1 in a second buffer. A one-chunk file is hashed on the caller's thread,
+which would have nothing else to do meanwhile. So a streamed `apply` holds
+at most two input and two output chunk buffers, whatever the row count, and
+runs at most LANES + 2 threads. Each helper is joined before its stream
+ends, raises or is abandoned.
 
 Transform file (.olt), all little-endian:
 
@@ -49,6 +58,7 @@ import os
 import re
 import shutil
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -57,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptFile, InvalidRunId, StaleReference, UnknownRun
-from .lowrank import EmbeddingMatrix, Role
+from .lowrank import EmbeddingMatrix, Role, _readonly
 from .stabilizer import ReferenceSpace, StabilizedRun
 
 EMB_MAGIC = b"OLRE"
@@ -89,7 +99,12 @@ def open_embeddings(path):
     """The one .emb reader. Parses the header and checks it against the file
     size before anything is allocated, then yields (role, precision, count,
     dim, chunks); chunks yields the records in order, at most CHUNK_ROWS at
-    a time in one reused buffer, and checks the digest after the last."""
+    a time, as read-only views, and checks the digest after the last.
+
+    Past one chunk, a helper thread feeds chunk i to sha256 while the caller
+    works on it, and the next read fills a second buffer with chunk i+1, so
+    a chunk stays valid until the caller asks for the one after next.
+    Leaving the block stops and joins the helper."""
     with open(path, "rb") as fh:
         header = fh.read(_EMB_HEADER.size)
         if len(header) < _EMB_HEADER.size:
@@ -116,31 +131,106 @@ def open_embeddings(path):
 
         def chunks():
             digest = hashlib.sha256(header)
-            buf = np.empty(min(count, CHUNK_ROWS), dtype=record)
-            for start in range(0, count, CHUNK_ROWS):
-                chunk = buf[: min(CHUNK_ROWS, count - start)]
-                if fh.readinto(chunk) != chunk.nbytes:
-                    raise CorruptFile(f"{path}: truncated records")
-                digest.update(chunk)
-                yield chunk
+            buffers = _chunk_buffers(count, record)
+            # One chunk leaves the caller nothing to do while it is hashed.
+            with _Behind(count > CHUNK_ROWS) as helper:
+                for start in range(0, count, CHUNK_ROWS):
+                    chunk = next(buffers)[: min(CHUNK_ROWS, count - start)]
+                    if fh.readinto(chunk) != chunk.nbytes:
+                        raise CorruptFile(f"{path}: truncated records")
+                    helper.submit(digest.update, chunk)
+                    yield _readonly(chunk)
             if fh.read(DIGEST_SIZE + 1) != digest.digest():
                 raise CorruptFile(f"{path}: checksum mismatch")
 
-        yield Role(role_byte), precision, count, dim, chunks()
+        records = chunks()
+        try:
+            yield Role(role_byte), precision, count, dim, records
+        finally:
+            records.close()
 
 
-def _write_sealed(path, header: bytes, body) -> str:
+class _Behind:
+    """Runs one call at a time behind the caller, on a helper thread of its
+    own when `threaded`, else at once on the caller's thread.
+
+    submit() first waits for the call before it, so at most one is in
+    flight, and raises its exception on the caller's thread, as wait() does.
+    Leaving the `with` block joins the helper; the helper's exception is
+    raised there unless the block is already raising one of its own."""
+
+    def __init__(self, threaded: bool) -> None:
+        self._threaded = threaded
+        self._thread = None
+        self._error = None
+
+    def _run(self, fn, args) -> None:
+        try:
+            fn(*args)
+        except BaseException as exc:  # re-raised on the caller's thread by wait()
+            self._error = exc
+
+    def submit(self, fn, *args) -> None:
+        self.wait()
+        if not self._threaded:
+            fn(*args)
+            return
+        self._thread = threading.Thread(target=self._run, args=(fn, args))
+        self._thread.start()
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+
+    def __enter__(self) -> "_Behind":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.wait()
+        elif self._thread is not None:
+            self._thread.join()
+
+
+def _chunk_buffers(count: int, record: np.dtype):
+    """Record buffers of min(count, CHUNK_ROWS) rows for consecutive chunks:
+    two that alternate, the second allocated only when asked for."""
+    first = np.empty(min(count, CHUNK_ROWS), dtype=record)
+    yield first
+    second = np.empty_like(first)
+    while True:
+        yield second
+        yield first
+
+
+def _write_sealed(path, header: bytes, body, threaded: bool) -> str:
     """Write `header`, each buffer that `body` yields, and the sha256 of all
-    of them to `<path>.tmp`, then rename it onto `path`. Any exception
-    removes the tmp file and leaves `path` as it was. Returns the hex digest."""
+    of them to `<path>.tmp`, then rename it onto `path`. Returns the hex
+    digest.
+
+    When `threaded`, a helper thread writes and hashes each buffer while
+    `body` makes the next; at most one buffer is in flight. Before `body` is
+    asked for a buffer, every buffer but the last it yielded is written and
+    hashed, so it may reuse the buffer it yielded two before. Any exception,
+    from `body` or the helper, is raised once the helper has stopped,
+    removes the tmp file and leaves `path` as it was."""
     tmp = Path(str(path) + ".tmp")
     digest = hashlib.sha256(header)
+
+    def put(buf) -> None:
+        fh.write(buf)
+        digest.update(buf)
+
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            for buf in body:
-                fh.write(buf)
-                digest.update(buf)
+            with _Behind(threaded) as helper:
+                for buf in body:
+                    helper.submit(put, buf)
             fh.write(digest.digest())
         os.replace(tmp, path)
     finally:
@@ -156,21 +246,28 @@ def _fsync(path) -> None:
         os.close(fd)
 
 
-def write_embedding_chunks(path, role: Role, precision: int, count: int, dim: int, chunks) -> str:
+def write_embedding_chunks(
+    path, role: Role, precision: int, count: int, dim: int, chunks, fill=np.copyto
+) -> str:
     """The one .emb writer. `chunks` yields (ids, vectors) pairs that add up
-    to the `count` rows the header declares; vectors are cast to the file
-    precision and packed at most CHUNK_ROWS rows at a time. Returns the hex
-    sha256 of the file body."""
+    to the `count` rows the header declares. They are packed at most
+    CHUNK_ROWS rows at a time into two alternating record buffers; past one
+    chunk, _write_sealed writes each while the next is packed.
+    `fill(out, vectors)` puts a piece's vectors into the `vec` field of its
+    records, cast to the file precision; `apply` passes the apply kernel,
+    whose products then land in the records without a copy. `chunks` is read
+    to its end before the file is sealed. Returns the hex sha256 of the file
+    body."""
 
     def records():
-        buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim, precision))
+        buffers = _chunk_buffers(count, _record_dtype(dim, precision))
         written = 0
         for ids, vectors in chunks:
             for start in range(0, len(ids), CHUNK_ROWS):
                 n = min(CHUNK_ROWS, len(ids) - start)
-                rec = buf[:n]
+                rec = next(buffers)[:n]
                 rec["id"] = ids[start : start + n]
-                rec["vec"] = vectors[start : start + n]
+                fill(rec["vec"], vectors[start : start + n])
                 written += n
                 yield rec
         if written != count:
@@ -179,7 +276,7 @@ def write_embedding_chunks(path, role: Role, precision: int, count: int, dim: in
     header = _EMB_HEADER.pack(
         EMB_MAGIC, FORMAT_VERSION, role.value, precision, count, dim, 0
     )
-    return _write_sealed(path, header, records())
+    return _write_sealed(path, header, records(), count > CHUNK_ROWS)
 
 
 def write_embeddings(emb: EmbeddingMatrix, path) -> str:
@@ -208,7 +305,8 @@ def write_transform(matrix, path) -> str:
     m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"transform must be a nonempty 2-D matrix, got shape {m.shape}")
-    return _write_sealed(path, _TRF_HEADER.pack(TRF_MAGIC, FORMAT_VERSION, m.shape[0]), [m])
+    header = _TRF_HEADER.pack(TRF_MAGIC, FORMAT_VERSION, m.shape[0])
+    return _write_sealed(path, header, [m], threaded=False)
 
 
 def read_transform(path) -> np.ndarray:

@@ -459,8 +459,9 @@ def ascending_k_loop(rows, m):
 class TestRowwiseMatmul:
     # Pins the kernel's accumulation order: stored bytes and the CLI's
     # streamed output depend on it, so a numpy change that reorders einsum's
-    # reduction must fail here. The examples are the shapes on which the
-    # unpadded einsum differs from the loop: one output column, Fortran m.
+    # reduction must fail here. The examples are the shapes on which a
+    # row-major einsum (rows by columns) differs from the loop: one output
+    # column, Fortran m.
     @given(
         e=st.integers(min_value=1, max_value=128),
         out_dim=st.sampled_from(["1", "2", "e-1", "e"]),
@@ -512,6 +513,35 @@ class TestRowwiseMatmul:
                 outs.append(rowwise_matmul(rows, m))
         assert outs[0].tobytes() == outs[1].tobytes()
         assert outs[1].tobytes() == ascending_k_loop(rows, m).tobytes()
+
+    # Row counts at tile boundaries, one output column, and rows read from and
+    # written straight into the strided `vec` fields of .emb records, as
+    # `apply` does. LANE_MIN_ROWS is lowered so that two lanes split even
+    # these short inputs, and each part starts its tiles part-way through.
+    @given(
+        n=st.sampled_from(
+            [1, *(d + c * lowrank.TILE_ROWS for c in (1, 2) for d in (-1, 0, 1))]
+        ),
+        e=st.integers(min_value=1, max_value=70),
+        e_out=st.one_of(st.just(1), st.integers(min_value=1, max_value=70)),
+        f32=st.booleans(),
+        lanes=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_into_record_fields_at_tile_boundaries(self, n, e, e_out, f32, lanes):
+        dtype = np.float32 if f32 else np.float64
+        gen = np.random.default_rng([n, e, e_out, lanes])
+        m = gen.standard_normal((e, e_out))
+        src = np.zeros(n, dtype=[("id", "<u8"), ("vec", dtype, (e,))])
+        src["vec"] = gen.standard_normal((n, e))
+        dst = np.zeros(n, dtype=[("id", "<u8"), ("vec", dtype, (e_out,))])
+        dst["id"] = np.arange(n) + 7
+        with mock.patch.object(lowrank, "LANES", lanes), \
+                mock.patch.object(lowrank, "LANE_MIN_ROWS", 64):
+            rowwise_matmul(src["vec"], m, dst["vec"])
+        expected = ascending_k_loop(src["vec"], m).astype(dtype)
+        assert np.ascontiguousarray(dst["vec"]).tobytes() == expected.tobytes()
+        assert np.array_equal(dst["id"], np.arange(n) + 7)
 
 
 def _counting_threads(monkeypatch) -> list:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embstab.lowrank
 import embstab.store
 from embstab import (
     EmbeddingMatrix,
@@ -32,6 +33,7 @@ from embstab.errors import (
     StaleReference,
     UnknownRun,
 )
+from embstab.cli import main
 from embstab.store import write_embedding_chunks
 from conftest import MALFORMED_META, random_pair
 
@@ -198,6 +200,149 @@ class TestChunkedCodec:
                 tmp_path / "e.emb", emb.role, 8, emb.n + 1, emb.dim, [(emb.ids, emb.vectors)]
             )
         assert list(tmp_path.iterdir()) == []
+
+
+def _failing_writes(monkeypatch, fail_at: int) -> None:
+    """Make the `fail_at`-th write (from 1, the header first) to any file the
+    store opens for writing raise OSError."""
+    real_open = open
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, buf):
+            self.writes += 1
+            if self.writes == fail_at:
+                raise OSError("simulated write failure")
+            return self.fh.write(buf)
+
+    def opener(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FailingFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(embstab.store, "open", opener, raising=False)
+
+
+class TestStreamedApply:
+    """The codec's helper threads under `apply`, with CHUNK_ROWS small so
+    every file spans several chunks."""
+
+    ROWS = 40
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """A 40-row user file per precision, a 6 x 5 map, and the previous
+        output of an earlier apply, which a failed apply must leave as it is."""
+        gen = np.random.default_rng(21)
+        for dtype in (np.float32, np.float64):
+            users = EmbeddingMatrix.of_users(gen.standard_normal((self.ROWS, 6)).astype(dtype))
+            write_embeddings(users, tmp_path / f"{np.dtype(dtype).name}.emb")
+        write_transform(gen.standard_normal((6, 5)), tmp_path / "m.olt")
+        (tmp_path / "out.emb").write_bytes(b"previous output")
+        return tmp_path
+
+    def apply(self, files, name):
+        return main([
+            "apply", "--emb", str(files / f"{name}.emb"),
+            "--transform", str(files / "m.olt"), "--out", str(files / "out.emb"),
+        ])
+
+    @pytest.mark.parametrize("name", ["float32", "float64"])
+    def test_output_bytes_do_not_depend_on_chunks_or_lanes(self, files, monkeypatch, name):
+        assert self.apply(files, name) == 0
+        single = (files / "out.emb").read_bytes()
+        monkeypatch.setattr(embstab.lowrank, "LANE_MIN_ROWS", 2)
+        for rows in (1, 7, 37):
+            for lanes in (1, 2):
+                monkeypatch.setattr(embstab.store, "CHUNK_ROWS", rows)
+                monkeypatch.setattr(embstab.lowrank, "LANES", lanes)
+                threads = set(threading.enumerate())
+                assert self.apply(files, name) == 0
+                assert set(threading.enumerate()) == threads
+                assert (files / "out.emb").read_bytes() == single, (rows, lanes)
+
+    def test_helper_threads_only_past_one_chunk(self, files, monkeypatch):
+        monkeypatch.setattr(embstab.lowrank, "LANES", 1)
+        made = []
+        real = threading.Thread
+
+        def counted(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(threading, "Thread", counted)
+        assert self.apply(files, "float64") == 0
+        assert made == []
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 7)
+        assert self.apply(files, "float64") == 0
+        assert len(made) == 12  # one per chunk read and per chunk written
+        assert not any(thread.is_alive() for thread in made)
+
+    def test_flipped_byte_in_last_chunk(self, files, monkeypatch):
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 7)
+        path = files / "float64.emb"
+        raw = bytearray(path.read_bytes())
+        raw[24 + 38 * (8 + 6 * 8) + 10] ^= 0x01  # row 38, in the sixth and last chunk
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="checksum"):
+            read_embeddings(path)
+        threads = set(threading.enumerate())
+        assert self.apply(files, "float64") == 3
+        assert set(threading.enumerate()) == threads
+        assert (files / "out.emb").read_bytes() == b"previous output"
+        assert not (files / "out.emb.tmp").exists()
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4, 7, 8])
+    def test_write_failing_mid_stream(self, files, monkeypatch, fail_at):
+        # Writes are the header, six 7-row chunks and the digest.
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 7)
+        emb = read_embeddings(files / "float32.emb")
+        threads = set(threading.enumerate())
+        _failing_writes(monkeypatch, fail_at)
+        with pytest.raises(OSError, match="simulated"):
+            write_embeddings(emb, files / "copy.emb")
+        assert self.apply(files, "float32") == 3
+        assert set(threading.enumerate()) == threads
+        assert sorted(p.name for p in files.iterdir()) == [
+            "float32.emb", "float64.emb", "m.olt", "out.emb",
+        ]
+        assert (files / "out.emb").read_bytes() == b"previous output"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_memory_is_bounded_by_chunk_buffers(self, tmp_path, monkeypatch, dtype):
+        """Two input and two output chunk buffers, plus the kernel's tiles,
+        whatever the row count."""
+        chunk, width = 2 * embstab.lowrank.LANE_MIN_ROWS, 32
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", chunk)
+        gen = np.random.default_rng(5)
+        write_transform(gen.standard_normal((width, width)), tmp_path / "m.olt")
+        peaks = []
+        for chunks in (2, 4):
+            users = EmbeddingMatrix.of_users(
+                gen.standard_normal((chunks * chunk, width)).astype(dtype)
+            )
+            write_embeddings(users, tmp_path / "in.emb")
+            del users
+            tracemalloc.start()
+            try:
+                assert main([
+                    "apply", "--emb", str(tmp_path / "in.emb"),
+                    "--transform", str(tmp_path / "m.olt"), "--out", str(tmp_path / "out.emb"),
+                ]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        buffer = chunk * (8 + width * np.dtype(dtype).itemsize)
+        tiles = embstab.lowrank.LANES * 2 * width * embstab.lowrank.TILE_ROWS * 8
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] <= 4 * buffer + tiles + (1 << 20)
 
 
 class TestTransformFormat:
