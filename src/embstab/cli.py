@@ -24,7 +24,7 @@ from .errors import (
     EmbStabError,
     InvalidConfig,
 )
-from .lowrank import RANK_POLICIES, rowwise_matmul
+from .lowrank import RANK_POLICIES
 from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
@@ -110,8 +110,8 @@ def _report_truncation(run) -> None:
 
 def _cmd_init(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
-    run, _ = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
-    RunStore(args.out).save_run(run, items, users, advance=True)
+    run = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
+    RunStore(args.out).save_run(run, advance=True)
     _report_truncation(run)
     print(f"initialized reference space from run {args.run_id!r}", file=sys.stderr)
     return EXIT_OK
@@ -121,8 +121,8 @@ def _cmd_stabilize(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     store = RunStore(args.out)
     ref = store.reference_space(args.ref)
-    run, _ = stabilize_run(items, users, ref, run_id=args.run_id, rank_policy=args.rank_policy)
-    store.save_run(run, items, users, advance=not args.no_advance)
+    run = stabilize_run(items, users, ref, run_id=args.run_id, rank_policy=args.rank_policy)
+    store.save_run(run, advance=not args.no_advance)
     _report_truncation(run)
     print(
         f"stabilized run {args.run_id!r} against reference {ref.run_id!r}",
@@ -190,13 +190,11 @@ def _cmd_apply(args) -> int:
             raise DimensionMismatch(
                 f"embedding width {dim} != transform row count {transform.shape[0]}"
             )
-        # Same partition-invariant kernel as apply_transform, so the streamed
-        # file matches an in-memory application bit for bit. It writes each
-        # chunk's products straight into the output records.
+        # The codec call that writes a stored run's stabilized pair, so the
+        # streamed file matches it, and apply_transform, bit for bit.
         write_embedding_chunks(
             args.out, role, precision, count, transform.shape[1],
-            ((chunk["id"], chunk["vec"]) for chunk in chunks),
-            fill=lambda out, rows: rowwise_matmul(rows, transform, out),
+            ((chunk["id"], chunk["vec"]) for chunk in chunks), transform,
         )
     return EXIT_OK
 

@@ -3,9 +3,9 @@
 A reference run seeds the standard space: its SVD-transformed item
 embeddings become the anchor. Every later run is SVD-transformed the same
 way, its items are aligned onto the anchor with an orthogonal map, and the
-two steps collapse into a single small matrix per side. Each stabilized
-run can serve as the anchor for the next one (reference chaining), which
-avoids treating the seed run as a special case forever.
+two steps collapse into a single small matrix per side; a run is its inputs
+and those two maps. Each run can anchor the next one (reference chaining),
+so the seed run is not a special case forever.
 
 Alignment is computed from items only; user embeddings ride along through
 their own composed map. Because the alignment is orthogonal, stabilization
@@ -41,22 +41,22 @@ class ReferenceSpace:
 
 @dataclass(frozen=True, eq=False)
 class StabilizedRun:
-    """One run's embeddings mapped into the standard space.
+    """One run as its inputs and its two maps into the standard space.
 
     item_map and user_map are the composed e x e per-side transforms (SVD
-    step times alignment); stabilized_items/users are exactly the raw inputs
-    pushed through apply_transform with those maps, so every run of width e
-    lands in the same e-wide standard space whatever its effective rank.
-    alignment is the identity for the run that seeds the space. rank_policy
-    is the policy the SVD step ran under; RunStore.save_run records it.
+    step times alignment). A stabilized side is apply_transform(raw, map),
+    derived where used and never held, so every run of width e lands in the
+    same e-wide standard space whatever its effective rank. alignment is the
+    identity for the run that seeds the space. rank_policy is the policy the
+    SVD step ran under; RunStore.save_run records it.
     """
 
     run_id: str
     reference_run_id: str
+    raw_items: EmbeddingMatrix
+    raw_users: EmbeddingMatrix
     item_map: np.ndarray
     user_map: np.ndarray
-    stabilized_items: EmbeddingMatrix
-    stabilized_users: EmbeddingMatrix
     spectrum: np.ndarray
     rank_policy: str
     alignment: AlignmentMap
@@ -69,6 +69,11 @@ class StabilizedRun:
     def dim(self) -> int:
         return self.item_map.shape[0]
 
+    @property
+    def reference(self) -> ReferenceSpace:
+        """Next run's anchor: raw_items through item_map, made on each access."""
+        return ReferenceSpace(self.run_id, apply_transform(self.raw_items, self.item_map))
+
 
 def _build_run(
     run_id: str,
@@ -78,23 +83,18 @@ def _build_run(
     transform: SvdTransform,
     rank_policy: str,
     alignment: AlignmentMap,
-) -> tuple[StabilizedRun, ReferenceSpace]:
-    item_map = transform.item_map @ alignment.matrix
-    user_map = transform.user_map @ alignment.matrix
-    stabilized_items = apply_transform(items, item_map)
-    stabilized_users = apply_transform(users, user_map)
-    run = StabilizedRun(
+) -> StabilizedRun:
+    return StabilizedRun(
         run_id=run_id,
         reference_run_id=reference_run_id,
-        item_map=item_map,
-        user_map=user_map,
-        stabilized_items=stabilized_items,
-        stabilized_users=stabilized_users,
+        raw_items=items,
+        raw_users=users,
+        item_map=transform.item_map @ alignment.matrix,
+        user_map=transform.user_map @ alignment.matrix,
         spectrum=transform.spectrum,
         rank_policy=rank_policy,
         alignment=alignment,
     )
-    return run, ReferenceSpace(run_id=run_id, anchor_items=stabilized_items)
 
 
 def init_reference(
@@ -102,13 +102,12 @@ def init_reference(
     users: EmbeddingMatrix,
     run_id: str,
     rank_policy: str = "strict",
-) -> tuple[StabilizedRun, ReferenceSpace]:
+) -> StabilizedRun:
     """Seed the standard space from one run.
 
     The run's own SVD space is the standard space, so its alignment is the
     identity and the composed maps equal the SVD maps, e x e even when the
-    truncate policy zeroes dead directions. The returned ReferenceSpace
-    carries the stabilized items as the anchor for subsequent runs.
+    truncate policy zeroes dead directions. Its `reference` anchors later runs.
     """
     transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
     identity = AlignmentMap(np.eye(items.dim))
@@ -121,14 +120,13 @@ def stabilize_run(
     ref: ReferenceSpace,
     run_id: str,
     rank_policy: str = "strict",
-) -> tuple[StabilizedRun, ReferenceSpace]:
+) -> StabilizedRun:
     """Map one run's embeddings into the reference's standard space.
 
     The run is SVD-transformed, then the rows whose item ids also appear in
     the anchor are Procrustes-aligned onto the matching anchor rows. Items
     absent from the reference are transformed but never influence the
-    alignment. The returned ReferenceSpace holds this run's stabilized
-    items, ready to serve as the next (rolling) anchor.
+    alignment. The run's `reference` is the next (rolling) anchor.
 
     Raises InsufficientOverlap when fewer than max(e, 10) item ids are
     shared with the anchor, DimensionMismatch when the run's width differs

@@ -35,18 +35,18 @@ Transform file (.olt), all little-endian:
     digest    32 bytes sha256 of all preceding bytes
 
 Runs live under `runs/<run_id>/` with `items.emb`, `users.emb` (stabilized
-embeddings; items.emb doubles as the chaining anchor), `raw_items.emb`,
-`raw_users.emb` (verbatim inputs, kept for raw-mode validation), `mT.olt`,
-`mW.olt` (composed maps, float64), and `meta` (JSON run record).
+embeddings: the raw inputs through the maps, by the writer call of `apply`;
+items.emb doubles as the chaining anchor), `raw_items.emb`, `raw_users.emb`
+(verbatim inputs), `mT.olt`, `mW.olt` (composed maps, float64) and `meta`.
 
 The `latest_ref` pointer file at the store root names the current reference
 run. A commit is one hold of one advisory lock, `save.lock` at the root; a
 writer that finds it held waits. save_run advances the pointer only if it
 still names the run's reference or the run is a seed (compare-and-swap). It
-writes the run under `runs/.staging-<run_id>/` and the pointer to
-`latest_ref.tmp`, syncs them, renames the run into place, then the pointer
-over `latest_ref`. Readers never block. A commit that fails at any step
-lists no run and leaves the pointer, so a retry under its id works.
+stages the run in `runs/.staging-<run_id>/` and the pointer in
+`latest_ref.tmp`, syncs both, renames the run into place, syncs `runs/`,
+then renames the pointer over `latest_ref`. Readers never block. A failed
+commit lists no run and leaves the pointer, so a retry under its id works.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptFile, InvalidRunId, StaleReference, UnknownRun
-from .lowrank import EmbeddingMatrix, Role, _readonly
+from .lowrank import EmbeddingMatrix, Role, _readonly, rowwise_matmul
 from .stabilizer import ReferenceSpace, StabilizedRun
 
 EMB_MAGIC = b"OLRE"
@@ -247,17 +247,16 @@ def _fsync(path) -> None:
 
 
 def write_embedding_chunks(
-    path, role: Role, precision: int, count: int, dim: int, chunks, fill=np.copyto
+    path, role: Role, precision: int, count: int, dim: int, chunks, transform=None
 ) -> str:
     """The one .emb writer. `chunks` yields (ids, vectors) pairs that add up
     to the `count` rows the header declares. They are packed at most
     CHUNK_ROWS rows at a time into two alternating record buffers; past one
-    chunk, _write_sealed writes each while the next is packed.
-    `fill(out, vectors)` puts a piece's vectors into the `vec` field of its
-    records, cast to the file precision; `apply` passes the apply kernel,
-    whose products then land in the records without a copy. `chunks` is read
-    to its end before the file is sealed. Returns the hex sha256 of the file
-    body."""
+    chunk, _write_sealed writes each while the next is packed. A piece's
+    vectors go into its records' `vec` field, cast to the file precision:
+    as they are, or times `transform` (`dim` columns) by the apply kernel,
+    straight into the records. `chunks` is read to its end before the file
+    is sealed. Returns the hex sha256 of the file body."""
 
     def records():
         buffers = _chunk_buffers(count, _record_dtype(dim, precision))
@@ -267,7 +266,10 @@ def write_embedding_chunks(
                 n = min(CHUNK_ROWS, len(ids) - start)
                 rec = next(buffers)[:n]
                 rec["id"] = ids[start : start + n]
-                fill(rec["vec"], vectors[start : start + n])
+                if transform is None:
+                    np.copyto(rec["vec"], vectors[start : start + n])
+                else:
+                    rowwise_matmul(vectors[start : start + n], transform, rec["vec"])
                 written += n
                 yield rec
         if written != count:
@@ -394,17 +396,11 @@ class RunStore:
             raise InvalidRunId(f"run id {run_id!r} is not a safe directory name")
         return self.runs_dir / run_id
 
-    def save_run(
-        self,
-        run: StabilizedRun,
-        raw_items: EmbeddingMatrix,
-        raw_users: EmbeddingMatrix,
-        *,
-        advance: bool = False,
-    ) -> RunRecord:
-        """Persist one stabilized run and the rank policy it ran under, and
-        with `advance` point `latest_ref` at it. Runs are append-only: saving
-        a stored run id fails. Unless the run is a seed (its own reference),
+    def save_run(self, run: StabilizedRun, *, advance: bool = False) -> RunRecord:
+        """Persist one run and the rank policy it ran under, and with
+        `advance` point `latest_ref` at it. The stabilized pair streams from
+        the run's inputs through its maps. Runs are append-only: saving a
+        stored run id fails. Unless the run is a seed (its own reference),
         advancing raises StaleReference before any write if `latest_ref` moved on."""
         directory = self.run_dir(run.run_id)
         self.init()
@@ -418,11 +414,18 @@ class RunStore:
                 raise StaleReference(f"{run.reference_run_id!r} is no longer the latest reference")
             shutil.rmtree(staging, ignore_errors=True)
             staging.mkdir()
+
+            def stabilized(raw: EmbeddingMatrix, transform, name: str) -> str:
+                return write_embedding_chunks(
+                    staging / name, raw.role, raw.vectors.dtype.itemsize, raw.n,
+                    transform.shape[1], [(raw.ids, raw.vectors)], transform,
+                )
+
             files = {
-                "items.emb": write_embeddings(run.stabilized_items, staging / "items.emb"),
-                "users.emb": write_embeddings(run.stabilized_users, staging / "users.emb"),
-                "raw_items.emb": write_embeddings(raw_items, staging / "raw_items.emb"),
-                "raw_users.emb": write_embeddings(raw_users, staging / "raw_users.emb"),
+                "items.emb": stabilized(run.raw_items, run.item_map, "items.emb"),
+                "users.emb": stabilized(run.raw_users, run.user_map, "users.emb"),
+                "raw_items.emb": write_embeddings(run.raw_items, staging / "raw_items.emb"),
+                "raw_users.emb": write_embeddings(run.raw_users, staging / "raw_users.emb"),
                 "mT.olt": write_transform(run.item_map, staging / "mT.olt"),
                 "mW.olt": write_transform(run.user_map, staging / "mW.olt"),
             }
@@ -444,13 +447,14 @@ class RunStore:
                 _fsync(path)
             shutil.rmtree(directory, ignore_errors=True)  # no meta: an older store's failed save
             staging.rename(directory)
+            _fsync(self.runs_dir)  # the run is on disk before the pointer names it
             if advance:
                 try:
                     os.replace(pointer, self.latest_ref_path)
                 except BaseException:
                     directory.rename(staging)
+                    _fsync(self.runs_dir)
                     raise
-            _fsync(self.runs_dir)
             _fsync(self.root)
         return record
 

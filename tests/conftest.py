@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from embstab import EmbeddingMatrix, init_reference, stabilize_run
+from embstab import EmbeddingMatrix, apply_transform, init_reference, stabilize_run
 
 
 @pytest.fixture
@@ -72,18 +72,20 @@ def rel_fro(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def stabilized_pair(run):
+    """A run's stabilized (items, users): its inputs through its maps."""
+    return apply_transform(run.raw_items, run.item_map), apply_transform(run.raw_users, run.user_map)
+
+
 def chain_gaps(run0, run1, run2):
     """Stabilize the (items, users) pair run2 against run0's reference, once
     directly and once through run1's chained reference; returns the
     Frobenius gaps between the two outputs as (items, users)."""
-    _, ref0 = init_reference(*run0, "chain-seed")
-    direct, _ = stabilize_run(*run2, ref0, "chain-direct")
-    _, ref1 = stabilize_run(*run1, ref0, "chain-intermediate")
-    chained, _ = stabilize_run(*run2, ref1, "chain-chained")
-    pairs = [
-        (direct.stabilized_items, chained.stabilized_items),
-        (direct.stabilized_users, chained.stabilized_users),
-    ]
+    ref0 = init_reference(*run0, "chain-seed").reference
+    direct = stabilize_run(*run2, ref0, "chain-direct")
+    ref1 = stabilize_run(*run1, ref0, "chain-intermediate").reference
+    chained = stabilize_run(*run2, ref1, "chain-chained")
+    pairs = zip(stabilized_pair(direct), stabilized_pair(chained))
     return tuple(
         float(np.linalg.norm(a.vectors.astype(np.float64) - b.vectors)) for a, b in pairs
     )

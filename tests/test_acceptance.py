@@ -27,7 +27,7 @@ from embstab import (
     write_transform,
 )
 from embstab.metrics import rbo
-from conftest import chain_gaps, random_orthogonal, random_pair
+from conftest import chain_gaps, random_orthogonal, random_pair, stabilized_pair
 from test_metrics import rbo_bruteforce
 
 
@@ -49,9 +49,10 @@ def test_c1_losslessness_of_stabilized_score_product():
             m = int(gen.integers(lo, 501))
             seed = int(gen.integers(0, 2**31))
             items, users = random_pair(n, m, dim, seed=seed)
-            run0, ref = init_reference(items, users, "r0")
+            run0 = init_reference(items, users, "r0")
+            ref = run0.reference
             raw0 = items.vectors @ users.vectors.T
-            stab0 = run0.stabilized_items.vectors @ run0.stabilized_users.vectors.T
+            stab0 = stabilized_pair(run0)[0].vectors @ stabilized_pair(run0)[1].vectors.T
             assert np.linalg.norm(stab0 - raw0) <= 1e-10 * np.linalg.norm(raw0)
 
             g = random_orthogonal(dim, seed=seed + 1)
@@ -59,9 +60,9 @@ def test_c1_losslessness_of_stabilized_score_product():
             noise *= 0.01 * np.linalg.norm(items.vectors) / np.linalg.norm(noise)
             items1 = EmbeddingMatrix.of_items(items.vectors @ g + noise, ids=items.ids)
             users1 = EmbeddingMatrix.of_users(users.vectors @ g, ids=users.ids)
-            run1, _ = stabilize_run(items1, users1, ref, "r1")
+            run1 = stabilize_run(items1, users1, ref, "r1")
             raw1 = items1.vectors @ users1.vectors.T
-            stab1 = run1.stabilized_items.vectors @ run1.stabilized_users.vectors.T
+            stab1 = stabilized_pair(run1)[0].vectors @ stabilized_pair(run1)[1].vectors.T
             assert np.linalg.norm(stab1 - raw1) <= 1e-10 * np.linalg.norm(raw1)
             count += 1
     elapsed = time.perf_counter() - start
@@ -134,9 +135,9 @@ def test_c4_alignment_orthogonality_everywhere():
     for seed in range(10):
         dim = 8
         items, users = random_pair(80, 60, dim, seed=seed)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         items2, users2 = random_pair(80, 60, dim, seed=seed + 50)
-        run, _ = stabilize_run(items2, users2, ref, "r1")
+        run = stabilize_run(items2, users2, ref, "r1")
         maps.append((dim, run.alignment))
     for dim, amap in maps:
         gap = np.linalg.norm(amap.matrix.T @ amap.matrix - np.eye(dim))
@@ -163,15 +164,14 @@ def test_c5_table_pattern_on_synthetic_runs():
         )
         items, users = gen_ground_truth(cfg)
         items2, users2 = gen_retrained_run(items, users, cfg)
-        run0, ref = init_reference(items, users, "r0")
-        run1, _ = stabilize_run(items2, users2, ref, "r1")
+        run0 = init_reference(items, users, "r0")
+        ref = run0.reference
+        run1 = stabilize_run(items2, users2, ref, "r1")
         raw_reports.append(compare_runs(items, users, items2, users2, top_k=100, p=0.9))
         stab_reports.append(
             compare_runs(
-                run0.stabilized_items,
-                run0.stabilized_users,
-                run1.stabilized_items,
-                run1.stabilized_users,
+                *stabilized_pair(run0),
+                *stabilized_pair(run1),
                 top_k=100,
                 p=0.9,
             )
@@ -298,10 +298,11 @@ def test_c8_persistence_round_trips_and_crash_safety(tmp_path):
     # the previous reference in place, and no committed run behind.
     store = RunStore(tmp_path / "store")
     items, users = random_pair(40, 30, 4, seed=0)
-    run0, ref = init_reference(items, users, "run0")
-    store.save_run(run0, items, users, advance=True)
+    run0 = init_reference(items, users, "run0")
+    ref = run0.reference
+    store.save_run(run0, advance=True)
     items1, users1 = random_pair(40, 30, 4, seed=1)
-    run1, _ = stabilize_run(items1, users1, ref, "run1")
+    run1 = stabilize_run(items1, users1, ref, "run1")
 
     with pytest.MonkeyPatch.context() as mp:
         replace = os.replace
@@ -313,10 +314,10 @@ def test_c8_persistence_round_trips_and_crash_safety(tmp_path):
 
         mp.setattr(os, "replace", explode)
         with pytest.raises(RuntimeError):
-            store.save_run(run1, items1, users1, advance=True)
+            store.save_run(run1, advance=True)
     assert store.latest_reference_id() == "run0"
     assert store.list_runs() == ["run0"]
-    store.save_run(run1, items1, users1, advance=True)
+    store.save_run(run1, advance=True)
     assert store.latest_reference_id() == "run1"
     announce(8, "persistence round trips and crash safety")
 

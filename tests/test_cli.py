@@ -17,6 +17,7 @@ from embstab import (
     apply_transform,
     low_rank_svd_trans,
     read_embeddings,
+    read_transform,
     write_embeddings,
     write_transform,
 )
@@ -523,6 +524,35 @@ class TestPipelineProperties:
         assert report["mean_item_cosine"] > 0.999
         assert report["mean_user_cosine"] > 0.999
         assert report["mean_rbo"] > 0.99
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stored_pair_is_apply_of_the_raw_pair(self, tmp_path, monkeypatch, dtype):
+        # Each run's stabilized files are `apply` of its raw copies through its
+        # maps, and the in-memory path, byte for byte, over several chunks.
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 37)
+        store = tmp_path / "store"
+        for k, command in enumerate(["init", "stabilize", "stabilize"]):
+            items, users = random_pair(150, 120, 6, seed=40 + k, dtype=dtype)
+            write_embeddings(items, tmp_path / f"items{k}.emb")
+            write_embeddings(users, tmp_path / f"users{k}.emb")
+            assert main([
+                command, "--items", str(tmp_path / f"items{k}.emb"),
+                "--users", str(tmp_path / f"users{k}.emb"),
+                "--run-id", f"r{k}", "--out", str(store),
+            ]) == 0
+        for k in range(3):
+            run_dir = store / "runs" / f"r{k}"
+            for side, transform in (("items", "mT.olt"), ("users", "mW.olt")):
+                stored = (run_dir / f"{side}.emb").read_bytes()
+                out = tmp_path / f"r{k}.{side}.emb"
+                assert main([
+                    "apply", "--emb", str(run_dir / f"raw_{side}.emb"),
+                    "--transform", str(run_dir / transform), "--out", str(out),
+                ]) == 0
+                assert out.read_bytes() == stored, (k, side)
+                raw = read_embeddings(run_dir / f"raw_{side}.emb")
+                write_embeddings(apply_transform(raw, read_transform(run_dir / transform)), out)
+                assert out.read_bytes() == stored, (k, side)
 
     def test_init_artifacts_reproducible_across_stores(self, tmp_path, sim_dir):
         # Same inputs and flags must yield identical artifacts; only the

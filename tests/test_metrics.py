@@ -28,7 +28,7 @@ from embstab.errors import (
     ZeroNormRow,
 )
 from embstab.metrics import rbo
-from conftest import random_orthogonal, random_pair
+from conftest import random_orthogonal, random_pair, stabilized_pair
 
 
 def rbo_bruteforce(list_a, list_b, p, depth):
@@ -317,10 +317,11 @@ class TestRankCorrelationReport:
         items2 = EmbeddingMatrix.of_items(items.vectors @ g, ids=items.ids)
         users2 = EmbeddingMatrix.of_users(users.vectors @ g + noise, ids=users.ids)
 
-        run0, ref = init_reference(items, users, "r0")
-        run1, _ = stabilize_run(items2, users2, ref, "r1")
+        run0 = init_reference(items, users, "r0")
+        ref = run0.reference
+        run1 = stabilize_run(items2, users2, ref, "r1")
         stabilized, _ = rank_correlation_report(
-            run0.stabilized_items, run0.stabilized_users, run1.stabilized_users
+            *stabilized_pair(run0), stabilized_pair(run1)[1]
         )
         raw, _ = rank_correlation_report(items, users, users2)
         assert stabilized > 0.9

@@ -224,6 +224,7 @@ class TestGenRetrainedRun:
 
     def test_stabilized_similarity_degrades_smoothly_with_noise(self):
         from embstab import init_reference, stabilize_run
+        from conftest import stabilized_pair
 
         for rotation in (Rotation.ORTHOGONAL, Rotation.GENERAL_INVERTIBLE):
             curve = []
@@ -233,11 +234,12 @@ class TestGenRetrainedRun:
                     noise_scale=noise, rotation=rotation, seed=1,
                 )
                 items, users = gen_ground_truth(c)
-                run0, ref = init_reference(items, users, "r0")
+                run0 = init_reference(items, users, "r0")
+                ref = run0.reference
                 items2, users2 = gen_retrained_run(items, users, c)
-                run1, _ = stabilize_run(items2, users2, ref, "r1")
+                run1 = stabilize_run(items2, users2, ref, "r1")
                 curve.append(
-                    mean_same_id_cosine(run0.stabilized_items, run1.stabilized_items)[0]
+                    mean_same_id_cosine(stabilized_pair(run0)[0], stabilized_pair(run1)[0])[0]
                 )
             if rotation is Rotation.ORTHOGONAL:
                 assert curve[0] > 0.99

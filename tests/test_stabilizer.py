@@ -14,12 +14,12 @@ from embstab import (
 )
 from embstab.errors import DimensionMismatch, InsufficientOverlap
 from embstab.stabilizer import score_product_error
-from conftest import chain_gaps, random_orthogonal, random_pair, rel_fro
+from conftest import chain_gaps, random_orthogonal, random_pair, rel_fro, stabilized_pair
 
 
 def stabilized_product_error(run, items, users):
     return score_product_error(
-        items, users, run.stabilized_items, run.stabilized_users
+        items, users, *stabilized_pair(run)
     )
 
 
@@ -27,21 +27,23 @@ class TestInitReference:
     def test_identity_inputs(self):
         items = EmbeddingMatrix.of_items(np.eye(2))
         users = EmbeddingMatrix.of_users(np.eye(2))
-        run, ref = init_reference(items, users, "seed-run")
+        run = init_reference(items, users, "seed-run")
+        ref = run.reference
         np.testing.assert_allclose(run.spectrum, [1.0, 1.0], atol=1e-12)
-        product = run.stabilized_items.vectors @ run.stabilized_users.vectors.T
+        product = stabilized_pair(run)[0].vectors @ stabilized_pair(run)[1].vectors.T
         np.testing.assert_allclose(product, np.eye(2), atol=1e-10)
         assert ref.run_id == "seed-run"
         assert run.reference_run_id == "seed-run"
 
     def test_product_preserved(self):
         items, users = random_pair(50, 40, 8, seed=1)
-        run, _ = init_reference(items, users, "r0")
+        run = init_reference(items, users, "r0")
         assert stabilized_product_error(run, items, users) < 1e-10
 
     def test_anchor_gram_is_diagonal_spectrum(self):
         items, users = random_pair(50, 40, 8, seed=2)
-        run, ref = init_reference(items, users, "r0")
+        run = init_reference(items, users, "r0")
+        ref = run.reference
         gram = ref.anchor_items.vectors.T @ ref.anchor_items.vectors
         np.testing.assert_allclose(np.diag(gram), run.spectrum, rtol=1e-8)
         off = gram - np.diag(np.diag(gram))
@@ -49,7 +51,7 @@ class TestInitReference:
 
     def test_maps_equal_svd_maps(self):
         items, users = random_pair(30, 25, 4, seed=3)
-        run, _ = init_reference(items, users, "r0")
+        run = init_reference(items, users, "r0")
         tr = low_rank_svd_trans(items, users)
         assert np.array_equal(run.item_map, tr.item_map)
         assert np.array_equal(run.user_map, tr.user_map)
@@ -59,10 +61,11 @@ class TestInitReference:
 class TestStabilizeRun:
     def test_same_inputs_reproduce_reference(self):
         items, users = random_pair(50, 40, 8, seed=4)
-        run0, ref = init_reference(items, users, "r0")
-        run1, _ = stabilize_run(items, users, ref, "r1")
-        assert rel_fro(run1.stabilized_items.vectors, run0.stabilized_items.vectors) < 1e-10
-        assert rel_fro(run1.stabilized_users.vectors, run0.stabilized_users.vectors) < 1e-10
+        run0 = init_reference(items, users, "r0")
+        ref = run0.reference
+        run1 = stabilize_run(items, users, ref, "r1")
+        assert rel_fro(stabilized_pair(run1)[0].vectors, stabilized_pair(run0)[0].vectors) < 1e-10
+        assert rel_fro(stabilized_pair(run1)[1].vectors, stabilized_pair(run0)[1].vectors) < 1e-10
         assert np.linalg.norm(run1.alignment.matrix - np.eye(8)) < 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
@@ -71,14 +74,15 @@ class TestStabilizeRun:
         g = random_orthogonal(8, seed=seed + 900)
         items2 = EmbeddingMatrix.of_items(items.vectors @ g, ids=items.ids)
         users2 = EmbeddingMatrix.of_users(users.vectors @ g, ids=users.ids)
-        run0, ref = init_reference(items, users, "r0")
-        run1, _ = stabilize_run(items2, users2, ref, "r1")
+        run0 = init_reference(items, users, "r0")
+        ref = run0.reference
+        run1 = stabilize_run(items2, users2, ref, "r1")
         # Identical score space means identical standard-space coordinates.
         assert np.linalg.norm(
-            run1.stabilized_items.vectors - run0.stabilized_items.vectors
+            stabilized_pair(run1)[0].vectors - stabilized_pair(run0)[0].vectors
         ) < 1e-8
         assert np.linalg.norm(
-            run1.stabilized_users.vectors - run0.stabilized_users.vectors
+            stabilized_pair(run1)[1].vectors - stabilized_pair(run0)[1].vectors
         ) < 1e-8
 
     def test_noisy_retraining_recovers_similarity(self):
@@ -94,10 +98,11 @@ class TestStabilizeRun:
         items2 = EmbeddingMatrix.of_items(items.vectors @ g + noise_t, ids=items.ids)
         users2 = EmbeddingMatrix.of_users(users.vectors @ g + noise_w, ids=users.ids)
 
-        run0, ref = init_reference(items, users, "r0")
-        run1, _ = stabilize_run(items2, users2, ref, "r1")
+        run0 = init_reference(items, users, "r0")
+        ref = run0.reference
+        run1 = stabilize_run(items2, users2, ref, "r1")
         stabilized_cos, _ = mean_same_id_cosine(
-            run0.stabilized_items, run1.stabilized_items
+            stabilized_pair(run0)[0], stabilized_pair(run1)[0]
         )
         raw_cos, _ = mean_same_id_cosine(items, items2)
         assert stabilized_cos > 0.99
@@ -106,19 +111,19 @@ class TestStabilizeRun:
     def test_product_preserved_after_alignment(self):
         items, users = random_pair(80, 70, 16, seed=12)
         items2, users2 = random_pair(80, 70, 16, seed=13)
-        _, ref = init_reference(items, users, "r0")
-        run1, _ = stabilize_run(items2, users2, ref, "r1")
+        ref = init_reference(items, users, "r0").reference
+        run1 = stabilize_run(items2, users2, ref, "r1")
         assert stabilized_product_error(run1, items2, users2) < 1e-10
 
     def test_anchor_rows_outside_intersection_never_influence_alignment(self):
         from embstab import ReferenceSpace
 
         items, users = random_pair(100, 80, 8, seed=14)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         g = random_orthogonal(8, seed=15)
         items2 = EmbeddingMatrix.of_items(items.vectors @ g, ids=items.ids)
         users2 = EmbeddingMatrix.of_users(users.vectors @ g, ids=users.ids)
-        run_a, _ = stabilize_run(items2, users2, ref, "ra")
+        run_a = stabilize_run(items2, users2, ref, "ra")
 
         extra = np.random.default_rng(16).standard_normal((40, 8)) * 10.0
         padded_anchor = EmbeddingMatrix.of_items(
@@ -128,7 +133,7 @@ class TestStabilizeRun:
             ),
         )
         ref_padded = ReferenceSpace(run_id="r0", anchor_items=padded_anchor)
-        run_b, _ = stabilize_run(items2, users2, ref_padded, "rb")
+        run_b = stabilize_run(items2, users2, ref_padded, "rb")
         np.testing.assert_array_equal(run_a.alignment.matrix, run_b.alignment.matrix)
 
     def test_vocab_drift_still_aligns_shared_items(self):
@@ -143,10 +148,11 @@ class TestStabilizeRun:
             seed=3,
         )
         items, users = gen_ground_truth(cfg)
-        run0, ref = init_reference(items, users, "r0")
+        run0 = init_reference(items, users, "r0")
+        ref = run0.reference
         items2, users2 = gen_retrained_run(items, users, cfg)
-        run1, _ = stabilize_run(items2, users2, ref, "r1")
-        cos, n = mean_same_id_cosine(run0.stabilized_items, run1.stabilized_items)
+        run1 = stabilize_run(items2, users2, ref, "r1")
+        cos, n = mean_same_id_cosine(stabilized_pair(run0)[0], stabilized_pair(run1)[0])
         assert n == 240  # 20 percent of 300 items replaced
         assert cos > 0.99
 
@@ -154,53 +160,54 @@ class TestStabilizeRun:
         # Re-mixing user rows with an orthogonal matrix on the left keeps
         # W^T W fixed, so the computed maps and alignment cannot change.
         items, users = random_pair(60, 40, 8, seed=17)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         items2, users2 = random_pair(60, 40, 8, seed=18)
 
         mix = random_orthogonal(40, seed=19)
         users2_mixed = EmbeddingMatrix.of_users(mix @ users2.vectors, ids=users2.ids)
 
-        run_a, _ = stabilize_run(items2, users2, ref, "ra")
-        run_b, _ = stabilize_run(items2, users2_mixed, ref, "rb")
+        run_a = stabilize_run(items2, users2, ref, "ra")
+        run_b = stabilize_run(items2, users2_mixed, ref, "rb")
         assert np.linalg.norm(run_a.alignment.matrix - run_b.alignment.matrix) < 1e-9
-        assert rel_fro(run_b.stabilized_items.vectors, run_a.stabilized_items.vectors) < 1e-9
+        assert rel_fro(stabilized_pair(run_b)[0].vectors, stabilized_pair(run_a)[0].vectors) < 1e-9
         # Stabilized users are the mixed rows pushed through the same map.
         assert rel_fro(
-            run_b.stabilized_users.vectors, mix @ run_a.stabilized_users.vectors
+            stabilized_pair(run_b)[1].vectors, mix @ stabilized_pair(run_a)[1].vectors
         ) < 1e-9
 
     def test_user_row_permutation_does_not_change_alignment(self):
         items, users = random_pair(60, 40, 8, seed=20)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         items2, users2 = random_pair(60, 40, 8, seed=21)
         perm = np.random.default_rng(22).permutation(40)
         users2_perm = EmbeddingMatrix.of_users(
             users2.vectors[perm], ids=users2.ids[perm]
         )
-        run_a, _ = stabilize_run(items2, users2, ref, "ra")
-        run_b, _ = stabilize_run(items2, users2_perm, ref, "rb")
+        run_a = stabilize_run(items2, users2, ref, "ra")
+        run_b = stabilize_run(items2, users2_perm, ref, "rb")
         assert np.linalg.norm(run_a.alignment.matrix - run_b.alignment.matrix) < 1e-9
 
     def test_idempotent_against_own_output(self):
         items, users = random_pair(50, 40, 8, seed=23)
-        _, ref0 = init_reference(items, users, "r0")
-        run1, ref1 = stabilize_run(items, users, ref0, "r1")
-        run2, _ = stabilize_run(items, users, ref1, "r2")
+        ref0 = init_reference(items, users, "r0").reference
+        run1 = stabilize_run(items, users, ref0, "r1")
+        ref1 = run1.reference
+        run2 = stabilize_run(items, users, ref1, "r2")
         assert np.linalg.norm(run2.alignment.matrix - np.eye(8)) < 1e-8
-        assert rel_fro(run2.stabilized_items.vectors, run1.stabilized_items.vectors) < 1e-10
+        assert rel_fro(stabilized_pair(run2)[0].vectors, stabilized_pair(run1)[0].vectors) < 1e-10
 
     def test_composed_map_is_svd_map_times_alignment(self):
         items, users = random_pair(50, 40, 8, seed=24)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         items2, users2 = random_pair(50, 40, 8, seed=25)
-        run, _ = stabilize_run(items2, users2, ref, "r1")
+        run = stabilize_run(items2, users2, ref, "r1")
         tr = low_rank_svd_trans(items2, users2)
         np.testing.assert_array_equal(run.item_map, tr.item_map @ run.alignment.matrix)
         np.testing.assert_array_equal(run.user_map, tr.user_map @ run.alignment.matrix)
 
     def test_insufficient_overlap(self):
         items, users = random_pair(20, 15, 4, seed=26)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         items2 = EmbeddingMatrix.of_items(
             items.vectors, ids=np.arange(500, 520, dtype=np.uint64)
         )
@@ -213,7 +220,7 @@ class TestStabilizeRun:
         # items carry ids the reference never saw.
         need = max(dim, 10)
         items, users = random_pair(40, 30, dim, seed=dim)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         for shared in (need - 1, need):
             ids = np.concatenate([
                 np.arange(shared, dtype=np.uint64),
@@ -224,19 +231,19 @@ class TestStabilizeRun:
                 with pytest.raises(InsufficientOverlap, match=f"{shared} shared item ids"):
                     stabilize_run(moved, users, ref, "r1")
             else:
-                run, _ = stabilize_run(moved, users, ref, "r1")
+                run = stabilize_run(moved, users, ref, "r1")
                 assert run.alignment.matrix.shape == (dim, dim)
 
     def test_dimension_mismatch_with_reference(self):
         items, users = random_pair(30, 25, 4, seed=27)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
         items2, users2 = random_pair(30, 25, 6, seed=28)
         with pytest.raises(DimensionMismatch):
             stabilize_run(items2, users2, ref, "r1")
 
     def test_truncated_run_lands_in_full_reference_space(self):
         items, users = random_pair(40, 30, 6, seed=29)
-        _, ref = init_reference(items, users, "r0")
+        ref = init_reference(items, users, "r0").reference
 
         vecs = np.random.default_rng(30).standard_normal((40, 6))
         vecs[:, 5] = vecs[:, 0]  # rank 5 of 6
@@ -245,11 +252,11 @@ class TestStabilizeRun:
             np.random.default_rng(31).standard_normal((30, 6)), ids=users.ids
         )
         with pytest.warns(Warning):
-            run, _ = stabilize_run(items2, users2, ref, "r1", rank_policy="truncate")
+            run = stabilize_run(items2, users2, ref, "r1", rank_policy="truncate")
         assert run.effective_rank == 5
         assert run.dim == 6  # the reference's width, like every run
         assert run.item_map.shape == run.user_map.shape == (6, 6)
-        assert run.stabilized_items.dim == 6
+        assert stabilized_pair(run)[0].dim == 6
         assert stabilized_product_error(run, items2, users2) < 1e-8
 
 
@@ -294,12 +301,14 @@ class TestFixedWidthChain:
                 # Truncation and the degenerate alignment it implies warn.
                 warnings.simplefilter("ignore")
                 if ref is None:
-                    run, ref = init_reference(items, users, f"r{step}", rank_policy=policy)
+                    run = init_reference(items, users, f"r{step}", rank_policy=policy)
+                    ref = run.reference
                 else:
-                    run, ref = stabilize_run(items, users, ref, f"r{step}", rank_policy=policy)
+                    run = stabilize_run(items, users, ref, f"r{step}", rank_policy=policy)
+                    ref = run.reference
             assert run.dim == dim
             assert run.item_map.shape == run.user_map.shape == (dim, dim)
-            assert run.stabilized_items.dim == run.stabilized_users.dim == dim
+            assert stabilized_pair(run)[0].dim == stabilized_pair(run)[1].dim == dim
             assert run.effective_rank == dim - step_dead
             t = items.vectors.astype(np.float64)
             w = users.vectors.astype(np.float64)
@@ -312,21 +321,21 @@ class TestFixedWidthChain:
 class TestScoreProductError:
     def test_full_and_sampled_agree_on_small_input(self):
         items, users = random_pair(50, 40, 8, seed=32)
-        run, _ = init_reference(items, users, "r0")
-        full = score_product_error(items, users, run.stabilized_items, run.stabilized_users)
+        run = init_reference(items, users, "r0")
+        full = score_product_error(items, users, *stabilized_pair(run))
         sampled = score_product_error(
-            items, users, run.stabilized_items, run.stabilized_users, max_rows=100
+            items, users, *stabilized_pair(run), max_rows=100
         )
         assert full == sampled  # sampling kicks in only above max_rows
 
     def test_sampling_is_deterministic(self):
         items, users = random_pair(500, 400, 8, seed=33)
-        run, _ = init_reference(items, users, "r0")
+        run = init_reference(items, users, "r0")
         a = score_product_error(
-            items, users, run.stabilized_items, run.stabilized_users, max_rows=50, seed=1
+            items, users, *stabilized_pair(run), max_rows=50, seed=1
         )
         b = score_product_error(
-            items, users, run.stabilized_items, run.stabilized_users, max_rows=50, seed=1
+            items, users, *stabilized_pair(run), max_rows=50, seed=1
         )
         assert a == b
 

@@ -404,20 +404,21 @@ class TestTransformFormat:
 def make_store_with_runs(tmp_path, n_runs=2):
     store = RunStore(tmp_path / "store")
     items, users = random_pair(40, 30, 4, seed=0)
-    run0, ref = init_reference(items, users, "run0")
-    records = [store.save_run(run0, items, users, advance=True)]
+    run0 = init_reference(items, users, "run0")
+    ref = run0.reference
+    records = [store.save_run(run0, advance=True)]
     for k in range(1, n_runs):
         items_k, users_k = random_pair(40, 30, 4, seed=k)
-        run_k, ref = stabilize_run(items_k, users_k, ref, f"run{k}")
-        records.append(store.save_run(run_k, items_k, users_k, advance=True))
+        run_k = stabilize_run(items_k, users_k, ref, f"run{k}")
+        ref = run_k.reference
+        records.append(store.save_run(run_k, advance=True))
     return store, records
 
 
 def next_run(store, run_id, seed):
-    """A run stabilized against the store's latest reference, with its inputs."""
+    """A run stabilized against the store's latest reference."""
     items, users = random_pair(40, 30, 4, seed=seed)
-    run, _ = stabilize_run(items, users, store.reference_space(), run_id)
-    return run, items, users
+    return stabilize_run(items, users, store.reference_space(), run_id)
 
 
 def fail_call(monkeypatch, owner, name, index):
@@ -476,9 +477,9 @@ class TestRunStore:
     def test_append_only(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
         items, users = random_pair(40, 30, 4, seed=9)
-        run, _ = init_reference(items, users, "run0")
+        run = init_reference(items, users, "run0")
         with pytest.raises(FileExistsError):
-            store.save_run(run, items, users)
+            store.save_run(run)
 
     def test_advance_twice_keeps_history(self, tmp_path):
         store, records = make_store_with_runs(tmp_path, n_runs=2)
@@ -529,28 +530,32 @@ class TestRunStore:
     def test_failed_save_does_not_block_retry(self, tmp_path, monkeypatch, failing):
         store = RunStore(tmp_path / "store")
         items, users = random_pair(40, 30, 4, seed=0)
-        run, _ = init_reference(items, users, "run0")
+        run = init_reference(items, users, "run0")
         calls = []
 
-        def fail_once(write):
+        def fail_once(write, path_arg):
             def wrapped(*args, **kwargs):
-                calls.append(args[1])
+                calls.append(args[path_arg])
                 if len(calls) - 1 == failing:
-                    raise OSError(f"simulated failure writing {args[1]}")
+                    raise OSError(f"simulated failure writing {args[path_arg]}")
                 return write(*args, **kwargs)
 
             return wrapped
 
-        monkeypatch.setattr(embstab.store, "write_embeddings", fail_once(write_embeddings))
-        monkeypatch.setattr(embstab.store, "write_transform", fail_once(write_transform))
+        # Each .emb file, raw copy or stabilized, is one write_embedding_chunks call.
+        monkeypatch.setattr(
+            embstab.store, "write_embedding_chunks", fail_once(write_embedding_chunks, 0)
+        )
+        monkeypatch.setattr(embstab.store, "write_transform", fail_once(write_transform, 1))
         with pytest.raises(OSError, match="simulated"):
-            store.save_run(run, items, users)
+            store.save_run(run)
         monkeypatch.undo()
         assert len(calls) == failing + 1
+        assert pathlib.Path(calls[failing]).name == SEALED[failing]
         assert store.list_runs() == []
         assert not store.run_dir("run0").exists()
 
-        record = store.save_run(run, items, users)
+        record = store.save_run(run)
         store.validate_record(record)
         assert store.list_runs() == ["run0"]
         assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
@@ -558,18 +563,18 @@ class TestRunStore:
     def test_staged_run_with_meta_is_not_listed(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path / "store")
         items, users = random_pair(40, 30, 4, seed=0)
-        run, _ = init_reference(items, users, "run0")
+        run = init_reference(items, users, "run0")
 
         def explode(self, target):
             raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(pathlib.Path, "rename", explode)
         with pytest.raises(OSError, match="simulated"):
-            store.save_run(run, items, users)
+            store.save_run(run)
         monkeypatch.undo()
         assert (store.runs_dir / ".staging-run0" / "meta").exists()
         assert store.list_runs() == []
-        store.validate_record(store.save_run(run, items, users))
+        store.validate_record(store.save_run(run))
         assert store.list_runs() == ["run0"]
 
     def test_concurrent_saves_of_one_id_commit_one_whole_run(self, tmp_path):
@@ -577,16 +582,16 @@ class TestRunStore:
         saves = []
         for seed in (0, 1):
             items, users = random_pair(3000, 2000, 8, seed=seed)
-            saves.append((init_reference(items, users, "run0")[0], items, users))
+            saves.append(init_reference(items, users, "run0"))
         results = []
 
-        def save(args):
+        def save(run):
             try:
-                results.append(store.save_run(*args))
+                results.append(store.save_run(run))
             except FileExistsError as exc:
                 results.append(exc)
 
-        threads = [threading.Thread(target=save, args=(args,)) for args in saves]
+        threads = [threading.Thread(target=save, args=(run,)) for run in saves]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -604,22 +609,22 @@ class TestRunStore:
 
     def test_advance_with_missing_anchor_leaves_pointer(self, tmp_path, monkeypatch):
         store, _ = make_store_with_runs(tmp_path, n_runs=2)
-        run, items, users = next_run(store, "run2", seed=2)
+        run = next_run(store, "run2", seed=2)
 
-        def no_anchor(emb, path):
+        def no_anchor(path, *args):
             if path.name == "items.emb":
                 raise OSError("simulated failure writing the anchor")
-            return write_embeddings(emb, path)
+            return write_embedding_chunks(path, *args)
 
-        monkeypatch.setattr(embstab.store, "write_embeddings", no_anchor)
+        monkeypatch.setattr(embstab.store, "write_embedding_chunks", no_anchor)
         with pytest.raises(OSError, match="anchor"):
-            store.save_run(run, items, users, advance=True)
+            store.save_run(run, advance=True)
         assert store.latest_reference_id() == "run1"
         assert store.list_runs() == ["run0", "run1"]
 
     def test_crash_between_write_and_rename(self, tmp_path, monkeypatch):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
-        run, items, users = next_run(store, "run1", seed=1)
+        run = next_run(store, "run1", seed=1)
         replace = os.replace
 
         def explode(src, dst):
@@ -630,7 +635,7 @@ class TestRunStore:
 
         monkeypatch.setattr(os, "replace", explode)
         with pytest.raises(RuntimeError):
-            store.save_run(run, items, users, advance=True)
+            store.save_run(run, advance=True)
         monkeypatch.undo()
         assert store.latest_reference_id() == "run0"
         assert store.list_runs() == ["run0"]
@@ -639,12 +644,12 @@ class TestRunStore:
         import fcntl
 
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
-        run, items, users = next_run(store, "run1", seed=1)
+        run = next_run(store, "run1", seed=1)
         errors = []
 
         def advance():
             try:
-                store.save_run(run, items, users, advance=True)
+                store.save_run(run, advance=True)
             except Exception as exc:
                 errors.append(exc)
 
@@ -665,16 +670,16 @@ class TestRunStore:
     def test_lost_update_is_refused(self, tmp_path):
         # B and C both read reference A; B commits first.
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
-        run_b, items_b, users_b = next_run(store, "B", seed=1)
-        run_c, items_c, users_c = next_run(store, "C", seed=2)
-        store.save_run(run_b, items_b, users_b, advance=True)
+        run_b = next_run(store, "B", seed=1)
+        run_c = next_run(store, "C", seed=2)
+        store.save_run(run_b, advance=True)
         with pytest.raises(StaleReference):
-            store.save_run(run_c, items_c, users_c, advance=True)
+            store.save_run(run_c, advance=True)
         assert store.latest_reference_id() == "B"
         assert sorted(p.name for p in store.runs_dir.iterdir()) == ["B", "run0"]
         # Stabilized again against B, C commits onto the chain.
-        run_c, _, _ = next_run(store, "C", seed=2)
-        assert store.save_run(run_c, items_c, users_c, advance=True).reference_run_id == "B"
+        run_c = next_run(store, "C", seed=2)
+        assert store.save_run(run_c, advance=True).reference_run_id == "B"
         assert store.latest_reference_id() == "C"
 
     def test_concurrent_writers_keep_one_linear_chain(self, tmp_path):
@@ -686,9 +691,9 @@ class TestRunStore:
             try:
                 for j in range(runs_each):
                     while True:
-                        run, items, users = next_run(store, f"w{w}r{j}", seed=10 * w + j + 1)
+                        run = next_run(store, f"w{w}r{j}", seed=10 * w + j + 1)
                         try:
-                            store.save_run(run, items, users, advance=True)
+                            store.save_run(run, advance=True)
                             break
                         except StaleReference:
                             continue
@@ -717,11 +722,11 @@ class TestRunStore:
     @pytest.mark.parametrize("step", sorted(COMMIT_STEPS))
     def test_failed_commit_step_leaves_store_and_lets_retry(self, tmp_path, monkeypatch, step):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
-        run, items, users = next_run(store, "run1", seed=1)
+        run = next_run(store, "run1", seed=1)
         owner, name, index = COMMIT_STEPS[step]
         calls = fail_call(monkeypatch, owner, name, index)
         with pytest.raises(OSError, match="simulated"):
-            store.save_run(run, items, users, advance=True)
+            store.save_run(run, advance=True)
         monkeypatch.undo()
         if step.startswith("seal_"):
             assert pathlib.Path(calls[index][1]).name == step[len("seal_"):]
@@ -729,11 +734,58 @@ class TestRunStore:
         assert store.list_runs() == ["run0"]
         assert not store.run_dir("run1").exists()
 
-        record = store.save_run(run, items, users, advance=True)
+        record = store.save_run(run, advance=True)
         store.validate_record(record)
         assert store.latest_reference_id() == "run1"
         assert store.list_runs() == ["run0", "run1"]
         assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
+
+    def test_run_reaches_disk_before_the_pointer_names_it(self, tmp_path, monkeypatch):
+        # After power loss a directory keeps only the updates synced in it, so
+        # runs/ is synced between the run's rename and the pointer's.
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run = next_run(store, "run1", seed=1)
+        events = []
+        fsync, replace, rename = os.fsync, os.replace, pathlib.Path.rename
+
+        def synced(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return fsync(fd)
+
+        def replaced(src, dst):
+            events.append(("replace", pathlib.Path(dst)))
+            return replace(src, dst)
+
+        def renamed(self, target):
+            events.append(("rename", self, pathlib.Path(target)))
+            return rename(self, target)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", replaced)
+        monkeypatch.setattr(pathlib.Path, "rename", renamed)
+        store.save_run(run, advance=True)
+        monkeypatch.undo()
+        run_rename = events.index(
+            ("rename", store.runs_dir / ".staging-run1", store.run_dir("run1"))
+        )
+        runs_sync = events.index(("fsync", os.stat(store.runs_dir).st_ino), run_rename)
+        pointer_replace = events.index(("replace", store.latest_ref_path))
+        assert run_rename < runs_sync < pointer_replace
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_commit_never_holds_a_stabilized_side(self, tmp_path, monkeypatch, dtype):
+        # The stabilized pair streams from the inputs through the maps, so a
+        # seed run's commit holds chunk buffers, not embeddings.
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 1024)
+        items, users = random_pair(32768, 32768, 16, seed=3, dtype=dtype)
+        store = RunStore(tmp_path / "store")
+        tracemalloc.start()
+        try:
+            store.save_run(init_reference(items, users, "run0"), advance=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < items.vectors.nbytes
 
     def test_run_dir_without_meta_does_not_block_its_id(self, tmp_path):
         # Stores written before runs were staged can hold a meta-less run dir.
@@ -741,8 +793,8 @@ class TestRunStore:
         store.run_dir("r1").mkdir(parents=True)
         (store.run_dir("r1") / "items.emb").write_bytes(b"partial")
         items, users = random_pair(40, 30, 4, seed=0)
-        run, _ = init_reference(items, users, "r1")
-        record = store.save_run(run, items, users, advance=True)
+        run = init_reference(items, users, "r1")
+        record = store.save_run(run, advance=True)
         store.validate_record(record)
         assert store.list_runs() == ["r1"]
         assert store.latest_reference_id() == "r1"
@@ -757,16 +809,17 @@ class TestRunStore:
     def test_record_keeps_the_policy_the_run_ran_under(self, tmp_path):
         store = RunStore(tmp_path / "store")
         items, users = random_pair(40, 30, 4, seed=0)
-        run0, ref = init_reference(items, users, "run0")
-        assert store.save_run(run0, items, users).rank_policy == "strict"
+        run0 = init_reference(items, users, "run0")
+        ref = run0.reference
+        assert store.save_run(run0).rank_policy == "strict"
         vecs = items.vectors.copy()
         vecs[:, 3] = vecs[:, 0]  # rank 3 of 4
         items1 = EmbeddingMatrix.of_items(vecs, ids=items.ids)
         with pytest.warns(Warning) as caught:
-            run1, _ = stabilize_run(items1, users, ref, "run1", rank_policy="truncate")
+            run1 = stabilize_run(items1, users, ref, "run1", rank_policy="truncate")
         # The dead direction is a zero source column: the alignment degenerates.
         assert {RankTruncationWarning, DegenerateAlignmentWarning} <= {w.category for w in caught}
-        record = store.save_run(run1, items1, users)
+        record = store.save_run(run1)
         assert record.dim == 4
         assert record.effective_rank == 3
         assert record.rank_policy == "truncate"
