@@ -2,18 +2,20 @@
 
 Subcommands: simulate (synthetic runs), init (seed the reference space),
 stabilize (map a new run into it), validate (compare two stored runs),
-apply (stream an embedding file through a stored transform). Diagnostics
-go to standard error; data goes to files. Exit codes: 0 success, 2
-validation error (bad dimensions, unknown run ids, insufficient overlap,
-rank deficiency, a zero-norm row in a compared run, a `--top-k` below 1,
-an `--rbo-p` outside (0, 1), a non-numeric config value or a stale
-reference), 3 I/O error (including a malformed run `meta`) or out of memory.
+apply (stream an embedding file through a stored transform). Diagnostics go to
+standard error, a warning as one `warning: <message>` line; data goes to
+files. Exit codes: 0 success, 2 validation error (bad dimensions, unknown run
+ids, insufficient overlap, rank deficiency, a zero-norm row in a compared run,
+a `--top-k` below 1, an `--rbo-p` outside (0, 1), a non-numeric config value,
+a stale reference or a second `init`), 3 I/O error (including a malformed run
+`meta` or a run file whose digest differs from it) or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,16 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_truncation(run) -> None:
-    if run.effective_rank < run.dim:
-        print(f"warning: rank truncated to {run.effective_rank} of {run.dim}", file=sys.stderr)
-
-
 def _cmd_init(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     run = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
     RunStore(args.out).save_run(run, advance=True)
-    _report_truncation(run)
     print(f"initialized reference space from run {args.run_id!r}", file=sys.stderr)
     return EXIT_OK
 
@@ -123,7 +119,6 @@ def _cmd_stabilize(args) -> int:
     ref = store.reference_space(args.ref)
     run = stabilize_run(items, users, ref, run_id=args.run_id, rank_policy=args.rank_policy)
     store.save_run(run, advance=not args.no_advance)
-    _report_truncation(run)
     print(
         f"stabilized run {args.run_id!r} against reference {ref.run_id!r}",
         file=sys.stderr,
@@ -201,6 +196,8 @@ def _cmd_apply(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning  # shown warnings read as errors do
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except CorruptFile as exc:
@@ -215,6 +212,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -37,13 +37,14 @@ Transform file (.olt), all little-endian:
 Runs live under `runs/<run_id>/` with `items.emb`, `users.emb` (stabilized
 embeddings: the raw inputs through the maps, by the writer call of `apply`;
 items.emb doubles as the chaining anchor), `raw_items.emb`, `raw_users.emb`
-(verbatim inputs), `mT.olt`, `mW.olt` (composed maps, float64) and `meta`.
+(verbatim inputs), `mT.olt`, `mW.olt` (composed maps, float64) and `meta`,
+a JSON RunRecord listing each file's sha256, which every read checks first.
 
 The `latest_ref` pointer file at the store root names the current reference
 run. A commit is one hold of one advisory lock, `save.lock` at the root; a
 writer that finds it held waits. save_run advances the pointer only if it
-still names the run's reference or the run is a seed (compare-and-swap). It
-stages the run in `runs/.staging-<run_id>/` and the pointer in
+still names the run's reference, or is absent for a seed (compare-and-swap).
+It stages the run in `runs/.staging-<run_id>/` and the pointer in
 `latest_ref.tmp`, syncs both, renames the run into place, syncs `runs/`,
 then renames the pointer over `latest_ref`. Readers never block. A failed
 commit lists no run and leaves the pointer, so a retry under its id works.
@@ -73,13 +74,11 @@ from .stabilizer import ReferenceSpace, StabilizedRun
 EMB_MAGIC = b"OLRE"
 TRF_MAGIC = b"OLRT"
 FORMAT_VERSION = 1
-CHECKSUM_ALGORITHM = "sha256"  # 32-byte digest, fixed for format version 1
-DIGEST_SIZE = 32
+DIGEST_SIZE = 32  # sha256
 
 # Most records in one streamed chunk: reading or writing a .emb file holds
 # this many rows in memory, whatever its length.
 CHUNK_ROWS = 65536
-_HASH_BLOCK_BYTES = 1 << 24
 
 _EMB_HEADER = struct.Struct("<4sHBBQII")
 _TRF_HEADER = struct.Struct("<4sHI")
@@ -335,7 +334,7 @@ def read_transform(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Metadata for one stored run; serialized as the run's `meta` file."""
+    """One stored run's `meta`; `files` maps each file to its body's sha256."""
 
     run_id: str
     reference_run_id: str
@@ -345,15 +344,11 @@ class RunRecord:
     spectrum: tuple
     rank_policy: str
     files: dict
-    anchor: str = "items.emb"
-    checksum_algorithm: str = CHECKSUM_ALGORITHM
 
 
 def _check_record(record: RunRecord, run_id: str) -> None:
     """Raise ValueError unless every field of a loaded record has its JSON
-    type, its run_id names its own directory, and every file it names, the
-    anchor included, is a plain file name listed in `files`, so a record
-    can only point inside its own run."""
+    type, its run_id names its own directory and each listed file is in it."""
     for field in fields(RunRecord):
         value = getattr(record, field.name)
         kind = {"str": str, "int": int, "tuple": tuple, "dict": dict}[field.type]
@@ -366,8 +361,6 @@ def _check_record(record: RunRecord, run_id: str) -> None:
     for name, digest in record.files.items():
         if not _PLAIN_NAME.fullmatch(name) or not isinstance(digest, str):
             raise ValueError(f"files entry {name!r}: {digest!r}")
-    if record.anchor not in record.files:
-        raise ValueError(f"anchor {record.anchor!r} is not one of the run's files")
 
 
 class RunStore:
@@ -400,8 +393,9 @@ class RunStore:
         """Persist one run and the rank policy it ran under, and with
         `advance` point `latest_ref` at it. The stabilized pair streams from
         the run's inputs through its maps. Runs are append-only: saving a
-        stored run id fails. Unless the run is a seed (its own reference),
-        advancing raises StaleReference before any write if `latest_ref` moved on."""
+        stored run id fails. A run advances only from the reference it was
+        built on, a seed (its own reference) from none: otherwise advancing
+        raises StaleReference before any write, so a store holds one chain."""
         directory = self.run_dir(run.run_id)
         self.init()
         staging = self.runs_dir / f".staging-{run.run_id}"
@@ -410,8 +404,11 @@ class RunStore:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             if (directory / "meta").exists():
                 raise FileExistsError(f"run {run.run_id!r} already stored; runs are append-only")
-            if advance and run.reference_run_id not in (run.run_id, self.latest_reference_id()):
-                raise StaleReference(f"{run.reference_run_id!r} is no longer the latest reference")
+            built_on = None if run.reference_run_id == run.run_id else run.reference_run_id
+            if advance and built_on != (latest := self.latest_reference_id()):
+                raise StaleReference(
+                    f"run {run.run_id!r} is built on {built_on!r}; latest_ref names {latest!r}"
+                )
             shutil.rmtree(staging, ignore_errors=True)
             staging.mkdir()
 
@@ -465,6 +462,10 @@ class RunStore:
         try:
             data = json.loads(meta_path.read_text())
             data["spectrum"] = tuple(data["spectrum"])
+            # Older metas hold these keys, each at its one value.
+            for key, value in (("anchor", "items.emb"), ("checksum_algorithm", "sha256")):
+                if data.pop(key, value) != value:
+                    raise ValueError(f"{key} must be {value!r}")
             record = RunRecord(**data)
             _check_record(record, run_id)
         except (KeyError, TypeError, ValueError) as exc:
@@ -475,36 +476,44 @@ class RunStore:
         # Run ids never start with ".", staging directories always do.
         return sorted(p.parent.name for p in self.runs_dir.glob("[!.]*/meta"))
 
-    def validate_record(self, record: RunRecord) -> None:
-        """Check that every referenced file exists and matches its digest."""
-        directory = self.run_dir(record.run_id)
-        for name, expected in record.files.items():
-            path = directory / name
-            if not path.exists():
-                raise CorruptFile(f"{path}: referenced by run {record.run_id!r} but missing")
-            digest = hashlib.sha256()
+    def _listed(self, record: RunRecord, name: str) -> Path:
+        """Path of run file `name` once its trailing digest is the one `record`
+        lists; every read goes through here, then the codec checks the body."""
+        path = self.run_dir(record.run_id) / name
+        try:
             with open(path, "rb") as fh:
-                remaining = os.fstat(fh.fileno()).st_size - DIGEST_SIZE
-                while remaining > 0 and (block := fh.read(min(remaining, _HASH_BLOCK_BYTES))):
-                    digest.update(block)
-                    remaining -= len(block)
-            if digest.hexdigest() != expected:
-                raise CorruptFile(f"{path}: digest mismatch")
+                fh.seek(max(os.fstat(fh.fileno()).st_size - DIGEST_SIZE, 0))
+                trailer = fh.read().hex()
+        except FileNotFoundError as exc:
+            raise CorruptFile(f"{path}: missing from run {record.run_id!r}") from exc
+        if trailer != record.files.get(name):
+            raise CorruptFile(f"{path}: digest differs from the meta of run {record.run_id!r}")
+        return path
+
+    def validate_record(self, record: RunRecord) -> None:
+        """Check each listed file as a read does, then drain it through its
+        codec: open_embeddings (two chunk buffers) or read_transform."""
+        for name in record.files:
+            path = self._listed(record, name)
+            if name.endswith(".olt"):
+                read_transform(path)
+                continue
+            with open_embeddings(path) as (*_, chunks):
+                for _ in chunks:
+                    pass
 
     def load_stabilized(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
         record = self.load_record(run_id)
-        directory = self.run_dir(record.run_id)
         return (
-            read_embeddings(directory / "items.emb"),
-            read_embeddings(directory / "users.emb"),
+            read_embeddings(self._listed(record, "items.emb")),
+            read_embeddings(self._listed(record, "users.emb")),
         )
 
     def load_raw(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
         record = self.load_record(run_id)
-        directory = self.run_dir(record.run_id)
         return (
-            read_embeddings(directory / "raw_items.emb"),
-            read_embeddings(directory / "raw_users.emb"),
+            read_embeddings(self._listed(record, "raw_items.emb")),
+            read_embeddings(self._listed(record, "raw_users.emb")),
         )
 
     def latest_reference_id(self) -> str | None:
@@ -520,5 +529,5 @@ class RunStore:
             if run_id is None:
                 raise UnknownRun("store has no reference yet; run init first")
         record = self.load_record(run_id)
-        anchor = read_embeddings(self.run_dir(record.run_id) / record.anchor)
+        anchor = read_embeddings(self._listed(record, "items.emb"))
         return ReferenceSpace(run_id=record.run_id, anchor_items=anchor)

@@ -1,8 +1,11 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embstab
 from embstab import EmbeddingMatrix, apply_transform, init_reference, stabilize_run
 
 
@@ -34,7 +37,38 @@ MALFORMED_META = {
     "dim_not_an_int": lambda text: json.dumps({**json.loads(text), "dim": 8.5}),
     "rank_a_bool": lambda text: json.dumps({**json.loads(text), "effective_rank": True}),
     "spectrum_of_strings": lambda text: json.dumps({**json.loads(text), "spectrum": ["1.0"]}),
+    "checksum_algorithm_md5": lambda text: json.dumps(
+        {**json.loads(text), "checksum_algorithm": "md5"}
+    ),
 }
+
+
+def _flip_byte(path, offset):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+# Ways to damage a stored run file in place, by name. Only the last two
+# change the trailing digest that the run's `meta` lists.
+DAMAGED_FILE = {
+    "bad_header": lambda path: _flip_byte(path, 0),
+    "flipped_body_byte": lambda path: _flip_byte(path, 40),
+    "truncated_trailer": lambda path: path.write_bytes(path.read_bytes()[:-5]),
+    "missing": lambda path: path.unlink(),
+}
+
+
+def child_env(one_blas_thread=False):
+    """Environment for a child `python -m embstab.cli`: this package first on
+    PYTHONPATH and, when asked, one BLAS thread, since the BLAS thread count
+    can change score and map bits by itself."""
+    src = str(Path(embstab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    if one_blas_thread:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+    return env
 
 
 def random_pair(n, m, dim, seed=0, dtype=np.float64):

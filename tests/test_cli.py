@@ -2,9 +2,11 @@ import ast
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,7 +30,7 @@ import embstab.metrics
 import embstab.store
 from embstab.cli import main
 from embstab.errors import DegenerateAlignmentWarning, RankTruncationWarning
-from conftest import MALFORMED_META, random_pair, rank_r_pair
+from conftest import DAMAGED_FILE, MALFORMED_META, child_env, random_pair, rank_r_pair
 
 
 SIM_CFG = (
@@ -137,6 +139,23 @@ class TestInit:
         assert (store / "latest_ref").read_text().strip() == "run0"
         for name in ("items.emb", "users.emb", "mT.olt", "mW.olt", "meta"):
             assert (store / "runs" / "run0" / name).exists()
+
+    def test_second_init_exits_2_and_writes_nothing(self, sim_dir, store_with_two_runs, capsys):
+        # A store holds one chain; a new seed needs a new store.
+        before = sorted(store_with_two_runs.rglob("*"))
+        capsys.readouterr()
+        assert main([
+            "init",
+            "--items", str(sim_dir / "run_002.items.emb"),
+            "--users", str(sim_dir / "run_002.users.emb"),
+            "--run-id", "run9",
+            "--out", str(store_with_two_runs),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "latest_ref names 'run1'" in err
+        assert sorted(store_with_two_runs.rglob("*")) == before
+        assert (store_with_two_runs / "latest_ref").read_text() == "run1\n"
 
     def test_mismatched_dims_exit_2_names_widths(self, tmp_path, capsys):
         items = EmbeddingMatrix.of_items(np.random.default_rng(0).standard_normal((20, 8)))
@@ -320,7 +339,7 @@ class TestStabilize:
         ])
         assert rc == 2
 
-    def test_truncate_policy_on_rank_deficient_input(self, tmp_path, sim_dir, capsys):
+    def test_truncate_policy_on_rank_deficient_input(self, tmp_path, sim_dir):
         store = tmp_path / "store"
         assert main([
             "init",
@@ -349,7 +368,7 @@ class TestStabilize:
         assert rc == 0
         categories = {w.category for w in caught}
         assert {RankTruncationWarning, DegenerateAlignmentWarning} <= categories
-        assert "rank truncated" in capsys.readouterr().err
+        assert any("effective rank 7" in str(w.message) for w in caught)
         meta = json.loads((store / "runs" / "run1t" / "meta").read_text())
         assert meta["effective_rank"] == 7
         assert meta["dim"] == 8  # output lands in the full reference space
@@ -366,11 +385,11 @@ class TestStabilize:
         ])
         assert rc_strict == 2
 
-    def test_truncated_init_does_not_end_the_chain(self, tmp_path, sim_dir, capsys):
+    def test_truncated_init_does_not_end_the_chain(self, tmp_path, sim_dir):
         # A rank-7-of-8 seed keeps width 8, so a full-rank run chains onto it.
         store = tmp_path / "store"
         write_embeddings(rank_7_of_8_items(sim_dir), tmp_path / "deficient.emb")
-        with pytest.warns(RankTruncationWarning):
+        with pytest.warns(RankTruncationWarning, match="1 of 8 .* effective rank 7"):
             assert main([
                 "init",
                 "--items", str(tmp_path / "deficient.emb"),
@@ -379,7 +398,6 @@ class TestStabilize:
                 "--out", str(store),
                 "--rank-policy", "truncate",
             ]) == 0
-        assert "warning: rank truncated to 7 of 8" in capsys.readouterr().err
         meta = json.loads((store / "runs" / "run0" / "meta").read_text())
         assert (meta["dim"], meta["effective_rank"]) == (8, 7)
         for name in ("mT.olt", "mW.olt"):
@@ -616,6 +634,82 @@ def test_pinned_reference_with_anchor_of_another_run_exits_3(
     ]) == 3
     assert capsys.readouterr().err.count("\n") == 1
     assert not (store_with_two_runs / "runs" / "run2").exists()
+
+
+# Each stored .emb file of a run, and a command that reads it.
+READERS = [
+    ("items.emb", "stabilize"),
+    ("items.emb", "validate"),
+    ("users.emb", "validate"),
+    ("raw_items.emb", "validate --raw"),
+    ("raw_users.emb", "validate --raw"),
+]
+
+
+def _reading_argv(command, store, sim_dir, report):
+    if command == "stabilize":
+        return ["stabilize", "--items", str(sim_dir / "run_002.items.emb"),
+                "--users", str(sim_dir / "run_002.users.emb"),
+                "--run-id", "run2", "--out", str(store), "--ref", "run1"]
+    return ["validate", "--run-a", "run1", "--run-b", "run0", "--store", str(store),
+            "--out", str(report)] + command.split()[1:]
+
+
+@pytest.mark.parametrize("name, command", READERS)
+def test_file_of_another_run_exits_3_and_changes_nothing(
+    tmp_path, sim_dir, store_with_two_runs, capsys, name, command
+):
+    # run0's file is whole, so only run1's meta tells that it is not run1's.
+    store = store_with_two_runs
+    path = store / "runs" / "run1" / name
+    shutil.copyfile(store / "runs" / "run0" / name, path)
+    report = tmp_path / "report"
+    capsys.readouterr()
+    assert main(_reading_argv(command, store, sim_dir, report)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert sorted(p.name for p in (store / "runs").iterdir()) == ["run0", "run1"]
+    assert (store / "latest_ref").read_text() == "run1\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_FILE))
+@pytest.mark.parametrize("name, command", READERS)
+def test_damaged_run_file_exits_3(
+    tmp_path, sim_dir, store_with_two_runs, capsys, name, command, damage
+):
+    path = store_with_two_runs / "runs" / "run1" / name
+    DAMAGED_FILE[damage](path)
+    capsys.readouterr()
+    assert main(_reading_argv(command, store_with_two_runs, sim_dir, tmp_path / "rep")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_truncated_stabilize_shows_each_warning_on_one_line(tmp_path, sim_dir):
+    store = tmp_path / "store"
+    formatwarning = warnings.formatwarning
+    assert main([
+        "init", "--items", str(sim_dir / "run_001.items.emb"),
+        "--users", str(sim_dir / "run_001.users.emb"), "--run-id", "run0", "--out", str(store),
+    ]) == 0
+    assert warnings.formatwarning is formatwarning
+    write_embeddings(rank_7_of_8_items(sim_dir), tmp_path / "deficient.emb")
+    result = subprocess.run(
+        [sys.executable, "-m", "embstab.cli", "stabilize",
+         "--items", str(tmp_path / "deficient.emb"),
+         "--users", str(sim_dir / "run_000.users.emb"),
+         "--run-id", "run1", "--out", str(store), "--rank-policy", "truncate"],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == [
+        "warning: dropping 1 of 8 singular values below threshold; effective rank 7",
+        "warning: cross-covariance is rank deficient; alignment is optimal but not unique",
+        "stabilized run 'run1' against reference 'run0'",
+    ]
 
 
 class TestValidate:
@@ -904,15 +998,8 @@ def test_output_bytes_do_not_depend_on_the_cpu_set(tmp_path):
         users = EmbeddingMatrix.of_users(gen.standard_normal((rows, 16)).astype(dtype))
         write_embeddings(users, tmp_path / f"{np.dtype(dtype).name}.emb")
 
-    # One BLAS thread in both children: the BLAS thread count can change
-    # score and map bits by itself, whatever the lanes do.
-    env = {
-        **os.environ,
-        **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "PYTHONPATH": os.pathsep.join(
-            [str(Path(embstab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        ),
-    }
+    # One BLAS thread in both children, whatever the lanes do.
+    env = child_env(one_blas_thread=True)
     one_cpu = {min(os.sched_getaffinity(0))}
 
     def child(args, confine):

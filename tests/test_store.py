@@ -1,10 +1,18 @@
 import hashlib
+import json
 import os
 import pathlib
+import random
+import re
+import shutil
+import signal
 import struct
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,7 +43,7 @@ from embstab.errors import (
 )
 from embstab.cli import main
 from embstab.store import write_embedding_chunks
-from conftest import MALFORMED_META, random_pair
+from conftest import DAMAGED_FILE, MALFORMED_META, child_env, random_pair
 
 
 def sample_emb(n=5, dim=3, dtype=np.float64, role=Role.ITEM, seed=0):
@@ -458,8 +466,6 @@ class TestRunStore:
             assert (run_dir / name).exists()
         record = store.load_record("run0")
         assert record == records[0]
-        assert record.anchor == "items.emb"
-        assert record.checksum_algorithm == "sha256"
 
     def test_loaders(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path)
@@ -507,6 +513,44 @@ class TestRunStore:
         assert store.latest_reference_id() is None
         with pytest.raises(UnknownRun):
             store.reference_space()
+
+    def test_meta_holds_the_record_fields_alone(self, tmp_path):
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        meta = json.loads((store.run_dir("run0") / "meta").read_text())
+        assert sorted(meta) == sorted(field.name for field in fields(RunRecord))
+        assert len(meta) == 8
+
+    @pytest.mark.parametrize("name", SEALED)
+    def test_validate_record_refuses_a_file_of_another_run(self, tmp_path, name):
+        # The swapped file is whole, so only the digest in meta tells.
+        store, records = make_store_with_runs(tmp_path, n_runs=2)
+        path = store.run_dir("run1") / name
+        shutil.copyfile(store.run_dir("run0") / name, path)
+        with pytest.raises(CorruptFile, match=re.escape(str(path))):
+            store.validate_record(records[1])
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_FILE))
+    @pytest.mark.parametrize("name", SEALED)
+    def test_validate_record_refuses_a_damaged_file(self, tmp_path, name, damage):
+        store, records = make_store_with_runs(tmp_path, n_runs=1)
+        path = store.run_dir("run0") / name
+        DAMAGED_FILE[damage](path)
+        with pytest.raises(CorruptFile, match=re.escape(str(path))):
+            store.validate_record(records[0])
+
+    def test_validate_record_holds_two_chunk_buffers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 1024)
+        items, users = random_pair(32768, 4096, 16, seed=3)
+        store = RunStore(tmp_path / "store")
+        record = store.save_run(init_reference(items, users, "run0"))
+        chunk = 1024 * (8 + 16 * 8)  # one chunk of float64 records
+        tracemalloc.start()
+        try:
+            store.validate_record(record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * chunk + (1 << 20)
 
     def test_validate_record_detects_tampering(self, tmp_path):
         store, records = make_store_with_runs(tmp_path, n_runs=1)
@@ -682,6 +726,14 @@ class TestRunStore:
         assert store.save_run(run_c, advance=True).reference_run_id == "B"
         assert store.latest_reference_id() == "C"
 
+    def test_seed_advances_only_an_empty_store(self, tmp_path):
+        store, _ = make_store_with_runs(tmp_path, n_runs=2)
+        items, users = random_pair(40, 30, 4, seed=7)
+        with pytest.raises(StaleReference, match="latest_ref names 'run1'"):
+            store.save_run(init_reference(items, users, "run9"), advance=True)
+        assert store.latest_reference_id() == "run1"
+        assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
+
     def test_concurrent_writers_keep_one_linear_chain(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
         writers, runs_each = 4, 3
@@ -854,3 +906,49 @@ class TestRunStore:
         store, records = make_store_with_runs(tmp_path, n_runs=1)
         record = store.load_record("run0")
         assert record.spectrum == records[0].spectrum
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_sigkill_inside_a_commit_leaves_a_whole_store(tmp_path):
+    """Kill six `stabilize` children, each 0-20 ms after its staging
+    directory appears, so inside a commit that writes about 11.5 MB. After
+    each kill the pointer names a listed run, every listed run validates,
+    and the killed run is the latest or commits on a retry."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        "n_items = 40000\nn_users = 40000\ndim = 16\nnoise_scale = 0.01\n"
+        "rotation = orthogonal\nvocab_drop_fraction = 0.0\nseed = 5\n"
+    )
+    sim, root = tmp_path / "sim", tmp_path / "store"
+
+    def args(command, k, run_id):
+        return [command, "--items", str(sim / f"run_00{k}.items.emb"),
+                "--users", str(sim / f"run_00{k}.users.emb"),
+                "--run-id", run_id, "--out", str(root)]
+
+    assert main(["simulate", "--config", str(cfg), "--runs", "1", "--out", str(sim)]) == 0
+    assert main(args("init", 0, "k0")) == 0
+    env = child_env(one_blas_thread=True)
+    store = RunStore(root)
+    delays = random.Random(17)
+    for k in range(1, 7):
+        run_id = f"k{k}"
+        argv = [sys.executable, "-m", "embstab.cli", *args("stabilize", 1, run_id)]
+        child = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL)
+        staging = store.runs_dir / f".staging-{run_id}"
+        deadline = time.monotonic() + 60
+        while not staging.exists() and child.poll() is None:
+            assert time.monotonic() < deadline, f"{run_id}: no commit began"
+            time.sleep(0.0005)
+        time.sleep(delays.uniform(0.0, 0.02))
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=60)
+
+        listed = store.list_runs()
+        assert store.latest_reference_id() in listed
+        for listed_id in listed:
+            store.validate_record(store.load_record(listed_id))
+        if run_id not in listed:
+            retry = subprocess.run(argv, env=env, stderr=subprocess.DEVNULL, timeout=120)
+            assert retry.returncode == 0
+        assert store.latest_reference_id() == run_id
