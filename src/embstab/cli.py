@@ -2,13 +2,15 @@
 
 Subcommands: simulate (synthetic runs), init (seed the reference space),
 stabilize (map a new run into it), validate (compare two stored runs),
-apply (stream an embedding file through a stored transform). Diagnostics go to
-standard error, a warning as one `warning: <message>` line; data goes to
-files. Exit codes: 0 success, 2 validation error (bad dimensions, unknown run
-ids, insufficient overlap, rank deficiency, a zero-norm row in a compared run,
-a `--top-k` below 1, an `--rbo-p` outside (0, 1), a non-numeric config value,
-a stale reference or a second `init`), 3 I/O error (including a malformed run
-`meta` or a run file whose digest differs from it) or out of memory.
+apply (stream an embedding file through a stored transform). A run's rank
+is read from its spectrum, so a rank-deficient run commits with a warning.
+Diagnostics go to standard error, a warning as one `warning: <message>` line;
+data goes to files. Exit codes: 0 success, 2 validation error (bad
+dimensions, unknown run ids, insufficient overlap, a run with no live
+direction, a zero-norm row in a compared run, a `--top-k` below 1, an
+`--rbo-p` outside (0, 1), a non-numeric config value, a stale reference or a
+second `init`), 3 I/O error (including a malformed run `meta` or a run file
+whose digest differs from it) or out of memory.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     EmbStabError,
     InvalidConfig,
 )
-from .lowrank import RANK_POLICIES
 from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
@@ -56,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", required=True, help="user embedding file (.emb)")
     p.add_argument("--run-id", required=True)
     p.add_argument("--out", required=True, help="store root directory")
-    p.add_argument("--rank-policy", choices=RANK_POLICIES, default="strict")
     p.set_defaults(func=_cmd_init)
 
     p = sub.add_parser("stabilize", help="map a new run into the reference space")
@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="store root directory")
     p.add_argument("--ref", help="pin a reference run id (default: latest); "
                    "pinning an older run needs --no-advance")
-    p.add_argument("--rank-policy", choices=RANK_POLICIES, default="strict")
     p.add_argument(
         "--no-advance",
         action="store_true",
@@ -107,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_init(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
-    run = init_reference(items, users, run_id=args.run_id, rank_policy=args.rank_policy)
+    run = init_reference(items, users, run_id=args.run_id)
     RunStore(args.out).save_run(run, advance=True)
     print(f"initialized reference space from run {args.run_id!r}", file=sys.stderr)
     return EXIT_OK
@@ -117,7 +116,7 @@ def _cmd_stabilize(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     store = RunStore(args.out)
     ref = store.reference_space(args.ref)
-    run = stabilize_run(items, users, ref, run_id=args.run_id, rank_policy=args.rank_policy)
+    run = stabilize_run(items, users, ref, run_id=args.run_id)
     store.save_run(run, advance=not args.no_advance)
     print(
         f"stabilized run {args.run_id!r} against reference {ref.run_id!r}",

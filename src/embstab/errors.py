@@ -14,7 +14,8 @@ class NonFinite(EmbStabError):
 
 
 class RankDeficient(EmbStabError):
-    """Score space has fewer usable singular values than the embedding width."""
+    """Score space has no singular value above the truncation threshold, so
+    no map can serve the run (e.g. an all-zero side)."""
 
 
 class RoleMismatch(EmbStabError):

@@ -56,8 +56,6 @@ SV_TRUNCATION_RTOL = 1e-12
 # store.CHUNK_ROWS is a multiple of it, so streamed chunks hold whole blocks.
 QR_BLOCK_ROWS = 1024
 
-RANK_POLICIES = ("strict", "truncate")
-
 
 def _usable_cpus() -> int:
     # sched_getaffinity exists only on Linux; elsewhere count every CPU.
@@ -216,7 +214,7 @@ class SvdTransform:
     """Per-run maps into the score space's principal-direction coordinates.
 
     item_map and user_map are always e x e; spectrum holds the kept singular
-    values (all e under the strict policy). A dropped direction is an exact
+    values, as many as the effective rank. A dropped direction is an exact
     zero column of both maps. Transformed Grams are diagonal and both equal
     the spectrum, padded with zeros; the score product is unchanged.
     """
@@ -278,32 +276,28 @@ def _check_pair(items: EmbeddingMatrix, users: EmbeddingMatrix) -> None:
         raise DimensionMismatch("embedding width must be at least 1")
 
 
-def low_rank_svd_trans(
-    items: EmbeddingMatrix,
-    users: EmbeddingMatrix,
-    rank_policy: str = "strict",
-) -> SvdTransform:
+def low_rank_svd_trans(items: EmbeddingMatrix, users: EmbeddingMatrix) -> SvdTransform:
     """Compute the score-space SVD transform from the factors alone.
+
+    The effective rank comes from the spectrum: a singular value at or below
+    max(SV_TRUNCATION_RTOL, e * eps) times the largest is dead, eps being
+    the larger machine epsilon of the two input dtypes. A dead direction is
+    an exact zero column of both maps, which stay e x e, and the call warns
+    with RankTruncationWarning.
 
     Args:
         items: n x e item embeddings.
         users: m x e user embeddings.
-        rank_policy: "strict" raises RankDeficient when any singular value
-            falls to max(SV_TRUNCATION_RTOL, e * eps) times the largest,
-            eps being the larger machine epsilon of the two input dtypes;
-            "truncate" zeroes the affected map columns instead, so the maps
-            stay e x e at effective rank below e.
 
     Returns:
         SvdTransform whose maps diagonalize both transformed Grams and
         preserve the score product items @ users.T exactly up to rounding.
 
     Raises:
-        RoleMismatch, DimensionMismatch, RankDeficient. Non-finite input is
-        rejected at EmbeddingMatrix construction.
+        RoleMismatch, DimensionMismatch, and RankDeficient when no singular
+        value is live. Non-finite input is rejected at EmbeddingMatrix
+        construction.
     """
-    if rank_policy not in RANK_POLICIES:
-        raise ValueError(f"rank_policy must be one of {RANK_POLICIES}, got {rank_policy!r}")
     _check_pair(items, users)
     # All decomposition work in float64 (_r_factor casts block by block):
     # the inverse square root of the spectrum amplifies rounding error at
@@ -319,11 +313,6 @@ def low_rank_svd_trans(
     if kept == 0:
         raise RankDeficient("score space has no singular value above the truncation threshold")
     if kept < dim:
-        if rank_policy == "strict":
-            raise RankDeficient(
-                f"{dim - kept} of {dim} singular values fall below the truncation "
-                f"threshold; rerun with rank_policy='truncate' to drop them"
-            )
         warnings.warn(
             RankTruncationWarning(
                 f"dropping {dim - kept} of {dim} singular values below threshold; "

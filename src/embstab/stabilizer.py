@@ -46,9 +46,9 @@ class StabilizedRun:
     item_map and user_map are the composed e x e per-side transforms (SVD
     step times alignment). A stabilized side is apply_transform(raw, map),
     derived where used and never held, so every run of width e lands in the
-    same e-wide standard space whatever its effective rank. alignment is the
-    identity for the run that seeds the space. rank_policy is the policy the
-    SVD step ran under; RunStore.save_run records it.
+    same e-wide standard space whatever its effective rank, which the
+    spectrum's length gives. alignment is the identity for the run that
+    seeds the space.
     """
 
     run_id: str
@@ -58,7 +58,6 @@ class StabilizedRun:
     item_map: np.ndarray
     user_map: np.ndarray
     spectrum: np.ndarray
-    rank_policy: str
     alignment: AlignmentMap
 
     @property
@@ -81,7 +80,6 @@ def _build_run(
     items: EmbeddingMatrix,
     users: EmbeddingMatrix,
     transform: SvdTransform,
-    rank_policy: str,
     alignment: AlignmentMap,
 ) -> StabilizedRun:
     return StabilizedRun(
@@ -92,26 +90,20 @@ def _build_run(
         item_map=transform.item_map @ alignment.matrix,
         user_map=transform.user_map @ alignment.matrix,
         spectrum=transform.spectrum,
-        rank_policy=rank_policy,
         alignment=alignment,
     )
 
 
-def init_reference(
-    items: EmbeddingMatrix,
-    users: EmbeddingMatrix,
-    run_id: str,
-    rank_policy: str = "strict",
-) -> StabilizedRun:
+def init_reference(items: EmbeddingMatrix, users: EmbeddingMatrix, run_id: str) -> StabilizedRun:
     """Seed the standard space from one run.
 
     The run's own SVD space is the standard space, so its alignment is the
-    identity and the composed maps equal the SVD maps, e x e even when the
-    truncate policy zeroes dead directions. Its `reference` anchors later runs.
+    identity and the composed maps equal the SVD maps, e x e even when dead
+    directions leave zero columns. Its `reference` anchors later runs.
     """
-    transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
+    transform = low_rank_svd_trans(items, users)
     identity = AlignmentMap(np.eye(items.dim))
-    return _build_run(run_id, run_id, items, users, transform, rank_policy, identity)
+    return _build_run(run_id, run_id, items, users, transform, identity)
 
 
 def stabilize_run(
@@ -119,7 +111,6 @@ def stabilize_run(
     users: EmbeddingMatrix,
     ref: ReferenceSpace,
     run_id: str,
-    rank_policy: str = "strict",
 ) -> StabilizedRun:
     """Map one run's embeddings into the reference's standard space.
 
@@ -136,7 +127,7 @@ def stabilize_run(
         raise DimensionMismatch(
             f"run width {items.dim} != reference dimension {ref.dimension}"
         )
-    transform = low_rank_svd_trans(items, users, rank_policy=rank_policy)
+    transform = low_rank_svd_trans(items, users)
 
     shared, shared_items, target = _join(items, ref.anchor_items)
     # The orthogonal map is unique only when the e x e cross-covariance has
@@ -149,7 +140,7 @@ def stabilize_run(
             f"need at least {need}"
         )
     alignment = ortho_procrustes(shared_items @ transform.item_map, target)
-    return _build_run(run_id, ref.run_id, items, users, transform, rank_policy, alignment)
+    return _build_run(run_id, ref.run_id, items, users, transform, alignment)
 
 
 def score_product_error(

@@ -46,8 +46,11 @@ writer that finds it held waits. save_run advances the pointer only if it
 still names the run's reference, or is absent for a seed (compare-and-swap).
 It stages the run in `runs/.staging-<run_id>/` and the pointer in
 `latest_ref.tmp`, syncs both, renames the run into place, syncs `runs/`,
-then renames the pointer over `latest_ref`. Readers never block. A failed
-commit lists no run and leaves the pointer, so a retry under its id works.
+then renames the pointer over `latest_ref`. Readers never block. A commit
+that fails before the run's rename lists no run and leaves the pointer; one
+that fails after it leaves the run listed but not latest, and a retry that
+advances with the same record only moves the pointer. Either way a retry
+under its id works.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import shutil
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -342,7 +345,6 @@ class RunRecord:
     dim: int
     effective_rank: int
     spectrum: tuple
-    rank_policy: str
     files: dict
 
 
@@ -390,22 +392,27 @@ class RunStore:
         return self.runs_dir / run_id
 
     def save_run(self, run: StabilizedRun, *, advance: bool = False) -> RunRecord:
-        """Persist one run and the rank policy it ran under, and with
-        `advance` point `latest_ref` at it. The stabilized pair streams from
-        the run's inputs through its maps. Runs are append-only: saving a
-        stored run id fails. A run advances only from the reference it was
-        built on, a seed (its own reference) from none: otherwise advancing
-        raises StaleReference before any write, so a store holds one chain."""
+        """Persist one run, and with `advance` point `latest_ref` at it. The
+        stabilized pair streams from the run's inputs through its maps. Runs
+        are append-only: saving a stored run id fails, except that advancing
+        a listed run that is not latest with the same record (a commit that
+        failed after its rename) only moves the pointer. A run advances only
+        from the reference it was built on, a seed (its own reference) from
+        none: otherwise advancing raises StaleReference before any write, so
+        a store holds one chain."""
         directory = self.run_dir(run.run_id)
         self.init()
         staging = self.runs_dir / f".staging-{run.run_id}"
         pointer = self.root / "latest_ref.tmp"
         with open(self.root / "save.lock", "w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-            if (directory / "meta").exists():
-                raise FileExistsError(f"run {run.run_id!r} already stored; runs are append-only")
             built_on = None if run.reference_run_id == run.run_id else run.reference_run_id
-            if advance and built_on != (latest := self.latest_reference_id()):
+            swaps = built_on == (latest := self.latest_reference_id())
+            stored = (directory / "meta").exists()
+            taken = FileExistsError(f"run {run.run_id!r} already stored; runs are append-only")
+            if stored and not (advance and swaps):
+                raise taken
+            if advance and not swaps:
                 raise StaleReference(
                     f"run {run.run_id!r} is built on {built_on!r}; latest_ref names {latest!r}"
                 )
@@ -433,9 +440,18 @@ class RunStore:
                 dim=run.dim,
                 effective_rank=run.effective_rank,
                 spectrum=tuple(float(s) for s in run.spectrum),
-                rank_policy=run.rank_policy,
                 files=files,
             )
+            if stored:  # a retry past the rename: the staged copy only serves to compare
+                shutil.rmtree(staging)
+                kept = self.load_record(run.run_id)
+                if replace(record, created_at=kept.created_at) != kept:
+                    raise taken
+                pointer.write_text(run.run_id + "\n")
+                _fsync(pointer)
+                os.replace(pointer, self.latest_ref_path)
+                _fsync(self.root)
+                return kept
             (staging / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
             if advance:
                 pointer.write_text(run.run_id + "\n")
@@ -462,10 +478,11 @@ class RunStore:
         try:
             data = json.loads(meta_path.read_text())
             data["spectrum"] = tuple(data["spectrum"])
-            # Older metas hold these keys, each at its one value.
-            for key, value in (("anchor", "items.emb"), ("checksum_algorithm", "sha256")):
-                if data.pop(key, value) != value:
-                    raise ValueError(f"{key} must be {value!r}")
+            # Older metas hold these keys, each at one of the values listed.
+            for key, values in (("anchor", ("items.emb",)), ("checksum_algorithm", ("sha256",)),
+                                ("rank_policy", ("strict", "truncate"))):
+                if data.pop(key, values[0]) not in values:
+                    raise ValueError(f"{key} must be one of {values!r}")
             record = RunRecord(**data)
             _check_record(record, run_id)
         except (KeyError, TypeError, ValueError) as exc:

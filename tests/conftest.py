@@ -40,6 +40,7 @@ MALFORMED_META = {
     "checksum_algorithm_md5": lambda text: json.dumps(
         {**json.loads(text), "checksum_algorithm": "md5"}
     ),
+    "rank_policy_pad": lambda text: json.dumps({**json.loads(text), "rank_policy": "pad"}),
 }
 
 

@@ -30,7 +30,9 @@ import embstab.metrics
 import embstab.store
 from embstab.cli import main
 from embstab.errors import DegenerateAlignmentWarning, RankTruncationWarning
-from conftest import DAMAGED_FILE, MALFORMED_META, child_env, random_pair, rank_r_pair
+from conftest import (
+    DAMAGED_FILE, MALFORMED_META, child_env, random_pair, rank_r_pair, rel_fro,
+)
 
 
 SIM_CFG = (
@@ -205,16 +207,49 @@ class TestInit:
         assert rc == 3
 
     @pytest.mark.parametrize("dim, rank", [(8, 5), (64, 40), (128, 100)])
-    def test_float32_rank_deficient_exits_2(self, tmp_path, capsys, dim, rank):
-        items, users = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim, dtype=np.float32)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_rank_deficient_init_commits_with_one_warning(self, tmp_path, dtype, dim, rank):
+        items, users = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim, dtype=dtype)
         write_embeddings(items, tmp_path / "i.emb")
         write_embeddings(users, tmp_path / "u.emb")
+        store = tmp_path / "store"
+        result = subprocess.run(
+            [sys.executable, "-m", "embstab.cli", "init",
+             "--items", str(tmp_path / "i.emb"), "--users", str(tmp_path / "u.emb"),
+             "--run-id", "r", "--out", str(store)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr.splitlines() == [
+            f"warning: dropping {dim - rank} of {dim} singular values below threshold; "
+            f"effective rank {rank}",
+            "initialized reference space from run 'r'",
+        ]
+        run_dir = store / "runs" / "r"
+        meta = json.loads((run_dir / "meta").read_text())
+        assert (meta["dim"], meta["effective_rank"]) == (dim, rank)
+        t, w = items.vectors.astype(np.float64), users.vectors.astype(np.float64)
+        maps = [read_transform(run_dir / name) for name in ("mT.olt", "mW.olt")]
+        stabilized = (t @ maps[0]) @ (w @ maps[1]).T
+        # The maps keep the live part of the scores exactly. What the cut
+        # drops is rounding: float32 leaves about 1e-8 of the scores in the
+        # dead directions of a pair that has exact rank r in float64.
+        u, s, vt = np.linalg.svd(t @ w.T, full_matrices=False)
+        assert rel_fro(stabilized, (u[:, :rank] * s[:rank]) @ vt[:rank]) <= 1e-10
+        assert rel_fro(stabilized, t @ w.T) <= (1e-6 if dtype == "float32" else 1e-10)
+
+    def test_all_zero_input_exits_2(self, tmp_path, capsys):
+        # No live direction: no map can serve the run, so nothing is stored.
+        write_embeddings(EmbeddingMatrix.of_items(np.zeros((20, 4))), tmp_path / "i.emb")
+        write_embeddings(EmbeddingMatrix.of_users(np.ones((20, 4))), tmp_path / "u.emb")
         rc = main([
             "init", "--items", str(tmp_path / "i.emb"), "--users", str(tmp_path / "u.emb"),
             "--run-id", "r", "--out", str(tmp_path / "store"),
         ])
         assert rc == 2
-        assert f"error: {dim - rank} of {dim} singular values" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: score space has no singular value above the truncation threshold\n"
+        assert not (tmp_path / "store").exists()
 
 
 class TestStabilize:
@@ -223,7 +258,7 @@ class TestStabilize:
             main(["stabilize", "--help"])
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        assert "--rank-policy" in out and "--min-overlap" not in out
+        assert "--rank-policy" not in out and "--min-overlap" not in out
 
     def test_too_few_shared_items_exits_2(self, tmp_path, sim_dir, store_with_two_runs, capsys):
         # The simulated runs are 8 wide, so 10 shared item ids are needed.
@@ -363,7 +398,6 @@ class TestStabilize:
                 "--users", str(sim_dir / "run_001.users.emb"),
                 "--run-id", "run1t",
                 "--out", str(store),
-                "--rank-policy", "truncate",
             ])
         assert rc == 0
         categories = {w.category for w in caught}
@@ -372,21 +406,12 @@ class TestStabilize:
         meta = json.loads((store / "runs" / "run1t" / "meta").read_text())
         assert meta["effective_rank"] == 7
         assert meta["dim"] == 8  # output lands in the full reference space
-        assert meta["rank_policy"] == "truncate"
-        init_meta = json.loads((store / "runs" / "run0" / "meta").read_text())
-        assert init_meta["rank_policy"] == "strict"
-
-        rc_strict = main([
-            "stabilize",
-            "--items", str(tmp_path / "deficient.emb"),
-            "--users", str(sim_dir / "run_001.users.emb"),
-            "--run-id", "run1s",
-            "--out", str(store),
-        ])
-        assert rc_strict == 2
+        assert "rank_policy" not in meta
+        assert (store / "latest_ref").read_text() == "run1t\n"
 
     def test_truncated_init_does_not_end_the_chain(self, tmp_path, sim_dir):
-        # A rank-7-of-8 seed keeps width 8, so a full-rank run chains onto it.
+        # A rank-7-of-8 seed keeps width 8, so a full-rank run chains onto it,
+        # and a rank-deficient run onto that.
         store = tmp_path / "store"
         write_embeddings(rank_7_of_8_items(sim_dir), tmp_path / "deficient.emb")
         with pytest.warns(RankTruncationWarning, match="1 of 8 .* effective rank 7"):
@@ -396,7 +421,6 @@ class TestStabilize:
                 "--users", str(sim_dir / "run_000.users.emb"),
                 "--run-id", "run0",
                 "--out", str(store),
-                "--rank-policy", "truncate",
             ]) == 0
         meta = json.loads((store / "runs" / "run0" / "meta").read_text())
         assert (meta["dim"], meta["effective_rank"]) == (8, 7)
@@ -419,6 +443,23 @@ class TestStabilize:
         assert (meta["dim"], meta["effective_rank"]) == (8, 8)
         assert (store / "latest_ref").read_text().strip() == "run1"
 
+        items = read_embeddings(sim_dir / "run_002.items.emb")
+        vecs = items.vectors.copy()
+        vecs[:, 1] = vecs[:, 0]
+        write_embeddings(EmbeddingMatrix.of_items(vecs, ids=items.ids), tmp_path / "d2.emb")
+        with pytest.warns(Warning) as caught:
+            assert main([
+                "stabilize",
+                "--items", str(tmp_path / "d2.emb"),
+                "--users", str(sim_dir / "run_002.users.emb"),
+                "--run-id", "run2",
+                "--out", str(store),
+            ]) == 0
+        assert {w.category for w in caught} == {RankTruncationWarning, DegenerateAlignmentWarning}
+        meta = json.loads((store / "runs" / "run2" / "meta").read_text())
+        assert (meta["dim"], meta["effective_rank"]) == (8, 7)
+        assert (store / "latest_ref").read_text().strip() == "run2"
+
 
 def rank_7_of_8_items(sim_dir):
     """The seed run's items with the last column a copy of the first."""
@@ -430,10 +471,10 @@ def rank_7_of_8_items(sim_dir):
 
 def _write_narrow_truncated_store(store, items, users):
     """A store as older releases wrote it after `init --rank-policy truncate`
-    of a rank-deficient run: e x kept maps, a kept-wide anchor and meta.dim
-    equal to kept."""
+    of a rank-deficient run: e x kept maps, a kept-wide anchor, meta.dim
+    equal to kept and the policy in meta."""
     with pytest.warns(RankTruncationWarning):
-        tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+        tr = low_rank_svd_trans(items, users)
     kept = tr.spectrum.size
     item_map, user_map = tr.item_map[:, :kept], tr.user_map[:, :kept]
     run_dir = store / "runs" / "run0"
@@ -453,10 +494,10 @@ def _write_narrow_truncated_store(store, items, users):
         dim=kept,
         effective_rank=kept,
         spectrum=tuple(float(v) for v in tr.spectrum),
-        rank_policy="truncate",
         files=files,
     )
-    (run_dir / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
+    meta = {**asdict(record), "rank_policy": "truncate"}
+    (run_dir / "meta").write_text(json.dumps(meta, indent=2) + "\n")
     (store / "latest_ref").write_text("run0\n")
     return record
 
@@ -701,7 +742,7 @@ def test_truncated_stabilize_shows_each_warning_on_one_line(tmp_path, sim_dir):
         [sys.executable, "-m", "embstab.cli", "stabilize",
          "--items", str(tmp_path / "deficient.emb"),
          "--users", str(sim_dir / "run_000.users.emb"),
-         "--run-id", "run1", "--out", str(store), "--rank-policy", "truncate"],
+         "--run-id", "run1", "--out", str(store)],
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0

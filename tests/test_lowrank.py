@@ -219,21 +219,13 @@ class TestLowRankSvdTrans:
         with pytest.raises(DimensionMismatch, match=match):
             low_rank_svd_trans(items, users)
 
-    def test_rank_deficient_strict(self):
+    def test_rank_deficient_truncate(self):
         vecs = np.random.default_rng(0).standard_normal((20, 3))
         vecs[:, 2] = vecs[:, 0]  # duplicated column: rank 2 of 3
         items = EmbeddingMatrix.of_items(vecs)
         users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((15, 3)))
-        with pytest.raises(RankDeficient):
-            low_rank_svd_trans(items, users)
-
-    def test_rank_deficient_truncate(self):
-        vecs = np.random.default_rng(0).standard_normal((20, 3))
-        vecs[:, 2] = vecs[:, 0]
-        items = EmbeddingMatrix.of_items(vecs)
-        users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((15, 3)))
         with pytest.warns(RankTruncationWarning):
-            tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+            tr = low_rank_svd_trans(items, users)
         assert tr.spectrum.size == 2
         # The maps keep the input width; the dead direction is a +0.0 column.
         for m in (tr.item_map, tr.user_map):
@@ -247,23 +239,17 @@ class TestLowRankSvdTrans:
     # A float64 rank-r pair cast to float32 keeps about 1e-8 of s_1 in each
     # dead direction: rounding, which the e * eps(float32) cut drops.
     @pytest.mark.parametrize("dim, rank", [(8, 5), (64, 40), (128, 100)])
-    def test_float32_rank_deficient_strict(self, dim, rank):
-        items, users = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim, dtype=np.float32)
-        with pytest.raises(RankDeficient, match=f"{dim - rank} of {dim}"):
-            low_rank_svd_trans(items, users)
-
-    @pytest.mark.parametrize("dim, rank", [(8, 5), (64, 40), (128, 100)])
     def test_float32_rank_deficient_truncate(self, dim, rank):
         items64, users64 = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim)
         items, users = items64.astype(np.float32), users64.astype(np.float32)
         with pytest.warns(RankTruncationWarning, match=f"effective rank {rank}"):
-            tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+            tr = low_rank_svd_trans(items, users)
         assert tr.spectrum.size == rank
         t = items.vectors.astype(np.float64)
         w = users.vectors.astype(np.float64)
         assert rel_fro((t @ tr.item_map) @ (w @ tr.user_map).T, t @ w.T) <= 1e-6
         with pytest.warns(RankTruncationWarning):
-            tr64 = low_rank_svd_trans(items64, users64, rank_policy="truncate")
+            tr64 = low_rank_svd_trans(items64, users64)
         assert tr64.spectrum.size == rank
         np.testing.assert_allclose(
             np.abs(tr.item_map).max(), np.abs(tr64.item_map).max(), rtol=1e-3
@@ -287,26 +273,19 @@ class TestLowRankSvdTrans:
         items = EmbeddingMatrix.of_items(np.zeros((5, 2)))
         users = EmbeddingMatrix.of_users(np.ones((5, 2)))
         with pytest.raises(RankDeficient):
-            low_rank_svd_trans(items, users, rank_policy="truncate")
+            low_rank_svd_trans(items, users)
 
     def test_fewer_rows_than_width(self):
-        # 3 rows of width 5 cap the rank at 3: an error under strict, a
-        # rank-3 map under truncate, with the product still preserved.
+        # 3 rows of width 5 cap the rank at 3: a rank-3 map, with the
+        # product still preserved.
         items = EmbeddingMatrix.of_items(np.random.default_rng(0).standard_normal((3, 5)))
         users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((10, 5)))
-        with pytest.raises(RankDeficient):
-            low_rank_svd_trans(items, users)
         with pytest.warns(RankTruncationWarning):
-            tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+            tr = low_rank_svd_trans(items, users)
         assert tr.spectrum.size == 3
         score = items.vectors @ users.vectors.T
         rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
         assert rel_fro(rebuilt, score) < 1e-10
-
-    def test_unknown_policy(self):
-        items, users = random_pair(10, 10, 2)
-        with pytest.raises(ValueError):
-            low_rank_svd_trans(items, users, rank_policy="pad")
 
     @pytest.mark.parametrize("dim", [2, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -398,16 +377,14 @@ class TestRFactor:
         assert rel_fro(r, signed_one_shot_r(a)) < 1e-13
 
     def test_truncate_over_several_blocks(self, monkeypatch):
-        # The truncate policy sees an exact rank deficiency through the tree.
+        # The rank cut sees an exact rank deficiency through the tree.
         monkeypatch.setattr(lowrank, "QR_BLOCK_ROWS", 8)
         vecs = np.random.default_rng(0).standard_normal((100, 3))
         vecs[:, 2] = vecs[:, 0] - vecs[:, 1]  # rank 2 of 3
         items = EmbeddingMatrix.of_items(vecs)
         users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((90, 3)))
-        with pytest.raises(RankDeficient):
-            low_rank_svd_trans(items, users)
         with pytest.warns(RankTruncationWarning):
-            tr = low_rank_svd_trans(items, users, rank_policy="truncate")
+            tr = low_rank_svd_trans(items, users)
         assert tr.spectrum.size == 2
         score = items.vectors @ users.vectors.T
         rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T

@@ -252,7 +252,7 @@ class TestStabilizeRun:
             np.random.default_rng(31).standard_normal((30, 6)), ids=users.ids
         )
         with pytest.warns(Warning):
-            run = stabilize_run(items2, users2, ref, "r1", rank_policy="truncate")
+            run = stabilize_run(items2, users2, ref, "r1")
         assert run.effective_rank == 5
         assert run.dim == 6  # the reference's width, like every run
         assert run.item_map.shape == run.user_map.shape == (6, 6)
@@ -296,15 +296,14 @@ class TestFixedWidthChain:
             items, users = _chain_step_input(
                 gen, item_ids, user_ids, dim, dtype, step_dead, how
             )
-            policy = "truncate" if step_dead else "strict"
             with warnings.catch_warnings():
                 # Truncation and the degenerate alignment it implies warn.
                 warnings.simplefilter("ignore")
                 if ref is None:
-                    run = init_reference(items, users, f"r{step}", rank_policy=policy)
+                    run = init_reference(items, users, f"r{step}")
                     ref = run.reference
                 else:
-                    run = stabilize_run(items, users, ref, f"r{step}", rank_policy=policy)
+                    run = stabilize_run(items, users, ref, f"r{step}")
                     ref = run.reference
             assert run.dim == dim
             assert run.item_map.shape == run.user_map.shape == (dim, dim)

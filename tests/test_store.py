@@ -518,7 +518,7 @@ class TestRunStore:
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
         meta = json.loads((store.run_dir("run0") / "meta").read_text())
         assert sorted(meta) == sorted(field.name for field in fields(RunRecord))
-        assert len(meta) == 8
+        assert len(meta) == 7
 
     @pytest.mark.parametrize("name", SEALED)
     def test_validate_record_refuses_a_file_of_another_run(self, tmp_path, name):
@@ -792,6 +792,45 @@ class TestRunStore:
         assert store.list_runs() == ["run0", "run1"]
         assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
 
+    def test_retry_after_a_failure_past_the_rename_only_moves_the_pointer(
+        self, tmp_path, monkeypatch
+    ):
+        # The run's rename has happened when runs/ fails to sync: it stays
+        # listed but not latest, and a retry of the same run advances to it.
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run = next_run(store, "run1", seed=1)
+        fsync, failed = embstab.store._fsync, []
+
+        def runs_sync_fails_once(path):
+            if path == store.runs_dir and not failed:
+                failed.append(path)
+                raise OSError("simulated failure syncing runs/")
+            return fsync(path)
+
+        monkeypatch.setattr(embstab.store, "_fsync", runs_sync_fails_once)
+        with pytest.raises(OSError, match="simulated"):
+            store.save_run(run, advance=True)
+        monkeypatch.undo()
+        assert store.list_runs() == ["run0", "run1"]
+        assert store.latest_reference_id() == "run0"
+        stored = store.load_record("run1")
+        meta = (store.run_dir("run1") / "meta").read_bytes()
+
+        # Another run under the id, or a save that does not advance, is refused.
+        with pytest.raises(FileExistsError):
+            store.save_run(next_run(store, "run1", seed=2), advance=True)
+        with pytest.raises(FileExistsError):
+            store.save_run(run)
+        assert store.latest_reference_id() == "run0"
+
+        assert store.save_run(run, advance=True) == stored
+        assert store.latest_reference_id() == "run1"
+        assert (store.run_dir("run1") / "meta").read_bytes() == meta
+        store.validate_record(stored)
+        assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
+        with pytest.raises(FileExistsError):
+            store.save_run(run, advance=True)
+
     def test_run_reaches_disk_before_the_pointer_names_it(self, tmp_path, monkeypatch):
         # After power loss a directory keeps only the updates synced in it, so
         # runs/ is synced between the run's rename and the pointer's.
@@ -858,24 +897,23 @@ class TestRunStore:
         with pytest.raises(InvalidRunId):
             store.run_dir(".hidden")
 
-    def test_record_keeps_the_policy_the_run_ran_under(self, tmp_path):
+    def test_record_keeps_the_effective_rank(self, tmp_path):
         store = RunStore(tmp_path / "store")
         items, users = random_pair(40, 30, 4, seed=0)
         run0 = init_reference(items, users, "run0")
         ref = run0.reference
-        assert store.save_run(run0).rank_policy == "strict"
+        assert store.save_run(run0).effective_rank == 4
         vecs = items.vectors.copy()
         vecs[:, 3] = vecs[:, 0]  # rank 3 of 4
         items1 = EmbeddingMatrix.of_items(vecs, ids=items.ids)
         with pytest.warns(Warning) as caught:
-            run1 = stabilize_run(items1, users, ref, "run1", rank_policy="truncate")
+            run1 = stabilize_run(items1, users, ref, "run1")
         # The dead direction is a zero source column: the alignment degenerates.
         assert {RankTruncationWarning, DegenerateAlignmentWarning} <= {w.category for w in caught}
         record = store.save_run(run1)
-        assert record.dim == 4
-        assert record.effective_rank == 3
-        assert record.rank_policy == "truncate"
-        assert store.load_record("run1").rank_policy == "truncate"
+        assert (record.dim, record.effective_rank) == (4, 3)
+        assert store.load_record("run1") == record
+        assert "rank_policy" not in json.loads((store.run_dir("run1") / "meta").read_text())
 
     @pytest.mark.parametrize("damage", sorted(MALFORMED_META))
     def test_malformed_meta_is_corrupt_file_naming_it(self, tmp_path, damage):
@@ -899,7 +937,6 @@ class TestRunStore:
         )
         record = store.load_record("old")
         assert record.spectrum == (2.0, 0.5)
-        assert record.rank_policy == "strict"
         assert record.files == {"items.emb": "ab"}
 
     def test_spectrum_survives_json_round_trip(self, tmp_path):
@@ -913,7 +950,8 @@ def test_sigkill_inside_a_commit_leaves_a_whole_store(tmp_path):
     """Kill six `stabilize` children, each 0-20 ms after its staging
     directory appears, so inside a commit that writes about 11.5 MB. After
     each kill the pointer names a listed run, every listed run validates,
-    and the killed run is the latest or commits on a retry."""
+    and the killed run is the latest or commits on a retry, whether or not
+    the kill left it listed."""
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(
         "n_items = 40000\nn_users = 40000\ndim = 16\nnoise_scale = 0.01\n"
@@ -948,7 +986,7 @@ def test_sigkill_inside_a_commit_leaves_a_whole_store(tmp_path):
         assert store.latest_reference_id() in listed
         for listed_id in listed:
             store.validate_record(store.load_record(listed_id))
-        if run_id not in listed:
+        if store.latest_reference_id() != run_id:
             retry = subprocess.run(argv, env=env, stderr=subprocess.DEVNULL, timeout=120)
             assert retry.returncode == 0
         assert store.latest_reference_id() == run_id
