@@ -44,12 +44,12 @@ The `latest_ref` pointer file at the store root names the current reference
 run. A commit is one hold of one advisory lock, `save.lock` at the root; a
 writer that finds it held waits. save_run advances the pointer only if it
 still names the run's reference, or is absent for a seed (compare-and-swap).
-It stages the run in `runs/.staging-<run_id>/` and the pointer in
-`latest_ref.tmp`, syncs both, renames the run into place, syncs `runs/`,
-then renames the pointer over `latest_ref`. Readers never block. A commit
-that fails before the run's rename lists no run and leaves the pointer; one
-that fails after it leaves the run listed but not latest, and a retry that
-advances with the same record only moves the pointer. Either way a retry
+It stages the run in `runs/.staging-<run_id>/`, syncs it, renames it into
+place, syncs `runs/`, then writes the pointer to `latest_ref.tmp`, syncs it
+and renames it over `latest_ref`. Readers never block. A commit that fails
+anywhere else lists no new run and leaves the pointer; one that fails while
+syncing `runs/` leaves the run listed but not latest, and a retry advancing
+the same record syncs `runs/` and moves the pointer. Either way a retry
 under its id works.
 """
 
@@ -396,10 +396,10 @@ class RunStore:
         stabilized pair streams from the run's inputs through its maps. Runs
         are append-only: saving a stored run id fails, except that advancing
         a listed run that is not latest with the same record (a commit that
-        failed after its rename) only moves the pointer. A run advances only
-        from the reference it was built on, a seed (its own reference) from
-        none: otherwise advancing raises StaleReference before any write, so
-        a store holds one chain."""
+        failed past its rename) syncs `runs/` and moves the pointer. A run
+        advances only from the reference it was built on, a seed (its own
+        reference) from none: otherwise advancing raises StaleReference
+        before any write, so a store holds one chain."""
         directory = self.run_dir(run.run_id)
         self.init()
         staging = self.runs_dir / f".staging-{run.run_id}"
@@ -447,26 +447,23 @@ class RunStore:
                 kept = self.load_record(run.run_id)
                 if replace(record, created_at=kept.created_at) != kept:
                     raise taken
-                pointer.write_text(run.run_id + "\n")
-                _fsync(pointer)
-                os.replace(pointer, self.latest_ref_path)
-                _fsync(self.root)
-                return kept
-            (staging / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
-            if advance:
-                pointer.write_text(run.run_id + "\n")
-                _fsync(pointer)
-            for path in [*staging.iterdir(), staging]:
-                _fsync(path)
-            shutil.rmtree(directory, ignore_errors=True)  # no meta: an older store's failed save
-            staging.rename(directory)
+                record = kept
+            else:
+                (staging / "meta").write_text(json.dumps(asdict(record), indent=2) + "\n")
+                for path in [*staging.iterdir(), staging]:
+                    _fsync(path)
+                shutil.rmtree(directory, ignore_errors=True)  # no meta: an older store's failed save
+                staging.rename(directory)
             _fsync(self.runs_dir)  # the run is on disk before the pointer names it
             if advance:
                 try:
+                    pointer.write_text(run.run_id + "\n")
+                    _fsync(pointer)
                     os.replace(pointer, self.latest_ref_path)
                 except BaseException:
-                    directory.rename(staging)
-                    _fsync(self.runs_dir)
+                    if not stored:  # a retry leaves its run listed, as it found it
+                        directory.rename(staging)
+                        _fsync(self.runs_dir)
                     raise
             _fsync(self.root)
         return record

@@ -823,7 +823,22 @@ class TestRunStore:
             store.save_run(run)
         assert store.latest_reference_id() == "run0"
 
+        # The retry syncs runs/ before the pointer names the run, since the
+        # failed commit may have left the rename unsynced.
+        events = []
+
+        def logged(kind, function):
+            def call(*args):
+                events.append((kind, pathlib.Path(args[-1])))
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(embstab.store, "_fsync", logged("fsync", fsync))
+        monkeypatch.setattr(os, "replace", logged("replace", os.replace))
         assert store.save_run(run, advance=True) == stored
+        monkeypatch.undo()
+        runs_sync = events.index(("fsync", store.runs_dir))
+        assert runs_sync < events.index(("replace", store.latest_ref_path))
         assert store.latest_reference_id() == "run1"
         assert (store.run_dir("run1") / "meta").read_bytes() == meta
         store.validate_record(stored)
