@@ -8,8 +8,8 @@ Diagnostics go to standard error, a warning as one `warning: <message>` line;
 data goes to files. Exit codes: 0 success, 2 validation error (bad
 dimensions, unknown run ids, insufficient overlap, a run with no live
 direction, a zero-norm row in a compared run, a `--top-k` below 1, an
-`--rbo-p` outside (0, 1), a non-numeric config value, a stale reference or a
-second `init`), 3 I/O error (including a malformed run `meta` or a run file
+`--rbo-p` outside (0, 1), a non-numeric config value, a stale reference, a
+second `init` or a map holding NaN or Inf), 3 I/O error (including a malformed run `meta` or a run file
 whose digest differs from it) or out of memory.
 """
 

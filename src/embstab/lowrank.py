@@ -21,9 +21,10 @@ The apply kernel (rowwise_matmul) sums each output in one fixed order,
 ascending over the input width. It multiplies small tiles of rows,
 transposed so that the rows are the innermost axis, which keeps that order
 for any map, and writes each result straight into the caller's output. Long
-inputs are cut into up to LANES contiguous row parts, each run on a thread
-of its own. Each output row depends only on its input row, so the bytes are
-the same at any lane count and any tiling.
+inputs are cut into up to LANES contiguous row parts: the caller runs the
+first while one helper thread runs the second. Each output row depends only
+on its input row, so the bytes are the same at any lane count and any
+tiling.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Threads that share the pieces of one kernel call: two where the process may
-# run on two CPUs, so `taskset -c 0` gives one. A third is unmeasured and
-# would add one more of validate's score blocks to its memory.
+# Threads that share the pieces of one call to _in_lanes: the caller and one
+# helper where the process may run on two CPUs, so `taskset -c 0` gives one.
+# A third is unmeasured and would add one more of validate's score blocks to
+# its memory.
 LANES = min(2, _usable_cpus())
 
 # Fewest rows the apply kernel gives one lane; shorter inputs run on one.
@@ -78,42 +80,72 @@ LANE_MIN_ROWS = 4096
 TILE_ROWS = 512
 
 
-def _in_lanes(fn, pieces) -> list:
-    """[fn(piece) for piece in pieces], piece i run on lane i % LANES.
+class _Behind:
+    """Runs one call at a time behind the caller, on a helper thread. It is
+    the package's one thread primitive: the lanes here and the .emb codec in
+    store start their threads through it, one per submit().
 
-    Lane 0 is the calling thread, every other lane a thread of its own. A
-    lane stops once a piece below its next one has failed, on any lane.
-    Once every lane has joined, the failure of the lowest piece is raised,
-    the one a plain loop over the pieces would raise.
+    submit() first waits for the call before it, so at most one is in
+    flight, and raises its exception on the caller's thread, as wait() does.
+    Leaving the `with` block joins the helper; the helper's exception is
+    raised there unless the block is already raising one of its own."""
+
+    def __init__(self) -> None:
+        self._thread = None
+        self._error = None
+
+    def _run(self, fn, args) -> None:
+        try:
+            fn(*args)
+        except BaseException as exc:  # re-raised on the caller's thread by wait()
+            self._error = exc
+
+    def submit(self, fn, *args) -> None:
+        self.wait()
+        self._thread = threading.Thread(target=self._run, args=(fn, args))
+        self._thread.start()
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+
+    def __enter__(self) -> "_Behind":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.wait()
+        elif self._thread is not None:
+            self._thread.join()
+
+
+def _in_lanes(fn, pieces) -> list:
+    """[fn(piece) for piece in pieces], on LANES lanes.
+
+    With two lanes the pieces go in pairs: a _Behind helper runs piece i+1
+    while the caller runs piece i, and the pair is joined before the next
+    starts. So at most two pieces run at once, none starts after a lower
+    one has failed, and the failure raised is that of the lowest piece, the
+    one a plain loop over the pieces would raise.
     """
     pieces = list(pieces)
-    n = len(pieces)
-    results = [None] * n
-    errors = [None] * n
-    # Lane j's first failed piece, or n; only lane j writes its slot.
-    failed = [n] * LANES
+    if LANES == 1:
+        return [fn(piece) for piece in pieces]
+    results = [None] * len(pieces)
 
-    def lane(j: int) -> None:
-        for i in range(j, n, LANES):
-            if i > min(failed):
-                return
-            try:
-                results[i] = fn(pieces[i])
-            except BaseException as exc:  # re-raised below, once all lanes are done
-                errors[i] = exc
-                failed[j] = i
+    def run(i: int) -> None:
+        results[i] = fn(pieces[i])
 
-    threads = [threading.Thread(target=lane, args=(j,)) for j in range(1, min(LANES, n))]
-    for thread in threads:
-        thread.start()
-    try:
-        lane(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    first = min(failed)
-    if first < n:
-        raise errors[first]
+    with _Behind() as helper:
+        for i in range(0, len(pieces), 2):
+            if i + 1 < len(pieces):
+                helper.submit(run, i + 1)
+            run(i)
+            helper.wait()
     return results
 
 

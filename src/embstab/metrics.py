@@ -11,9 +11,10 @@ one after stabilization.
 Rankings are computed a block of users at a time, in memory bounded by
 SCORE_BLOCK_ELEMENTS rather than by users x items: an exact top-k by
 partial selection, with score ties broken toward the smaller item id, and
-RBO for the whole block at once. The blocks are dealt to lowrank.LANES
-threads, so up to LANES blocks are held at once; a block's shape does not
-depend on the lane count, so neither do the report's bytes.
+RBO for the whole block at once. With two lanes the blocks go in pairs,
+the caller scoring one while a helper thread scores the next, so up to
+LANES blocks are held at once; a block's shape does not depend on the lane
+count, so neither do the report's bytes.
 """
 
 from __future__ import annotations
@@ -69,12 +70,15 @@ def write_report(report: MetricsReport, text_path, json_path) -> None:
 def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, int]:
     """Mean cosine similarity between same-id rows of two runs.
 
-    Computed over the id intersection; a zero-norm row on either side raises
-    ZeroNormRow. Returns (mean, number of ids compared), using fixed-order
-    compensated summation so the result is independent of evaluation order.
+    Computed over the id intersection; rows of different widths raise
+    DimensionMismatch and a zero-norm row on either side ZeroNormRow.
+    Returns (mean, number of ids compared), using fixed-order compensated
+    summation so the result is independent of evaluation order.
     """
     if a.role is not b.role:
         raise RoleMismatch(f"cannot compare roles {a.role.name} and {b.role.name}")
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"widths differ: {a.dim} and {b.dim}")
     shared, va, vb = _join(a, b)
     if shared.size == 0:
         raise InsufficientOverlap("inputs share no ids")
@@ -180,11 +184,11 @@ def rank_correlation_report(
     with its vector from each run; the two descending rankings (ties broken
     by ascending item id) are compared with rbo at depth top_k. Users are
     scored a block of rows at a time, so memory is bounded by LANES times
-    SCORE_BLOCK_ELEMENTS and not by users x items. The blocks run on up
-    to lowrank.LANES threads and their RBO values are summed in block order;
-    every block keeps its shape, and with it its BLAS score bits, so the
-    result is the same at any lane count. Returns (mean over users, number
-    of users compared).
+    SCORE_BLOCK_ELEMENTS and not by users x items. The blocks run in pairs
+    on the lanes and their RBO values are summed in block order; every
+    block keeps its shape, and with it its BLAS score bits, so the result
+    is the same at any lane count. Returns (mean over users, number of
+    users compared).
     """
     _check_ranking(top_k, p)
     if items_ref.dim != users_a.dim or items_ref.dim != users_b.dim:

@@ -14,15 +14,13 @@ Embedding file (.emb), all little-endian:
 
 open_embeddings and write_embedding_chunks are the only .emb codec: the
 library, RunStore and the CLI's `apply` all stream records through them, at
-most CHUNK_ROWS records at a time. On a file of more than one chunk, each
-side keeps one helper thread busy behind its caller: the reader hashes
-chunk i while the caller works on it and the next read fills a second
-buffer; the writer writes and hashes chunk i while the caller fills chunk
-i+1 in a second buffer. A one-chunk file is hashed on the caller's thread,
-which would have nothing else to do meanwhile. So a streamed `apply` holds
-at most two input and two output chunk buffers, whatever the row count, and
-runs at most LANES + 2 threads. Each helper is joined before its stream
-ends, raises or is abandoned.
+most CHUNK_ROWS records at a time. Each side keeps one helper thread
+(lowrank._Behind) busy behind its caller: the reader hashes chunk i while
+the caller works on it and the next read fills a second buffer; the writer
+writes and hashes chunk i while the caller fills chunk i+1 in a second
+buffer. So a streamed `apply` holds at most two input and two output chunk
+buffers, whatever the row count, and runs at most LANES + 2 threads. Each
+helper is joined before its stream ends, raises or is abandoned.
 
 Transform file (.olt), all little-endian:
 
@@ -62,7 +60,6 @@ import os
 import re
 import shutil
 import struct
-import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -70,8 +67,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidRunId, StaleReference, UnknownRun
-from .lowrank import EmbeddingMatrix, Role, _readonly, rowwise_matmul
+from .errors import CorruptFile, InvalidRunId, NonFinite, StaleReference, UnknownRun
+from .lowrank import EmbeddingMatrix, Role, _Behind, _readonly, rowwise_matmul
 from .stabilizer import ReferenceSpace, StabilizedRun
 
 EMB_MAGIC = b"OLRE"
@@ -103,10 +100,10 @@ def open_embeddings(path):
     dim, chunks); chunks yields the records in order, at most CHUNK_ROWS at
     a time, as read-only views, and checks the digest after the last.
 
-    Past one chunk, a helper thread feeds chunk i to sha256 while the caller
-    works on it, and the next read fills a second buffer with chunk i+1, so
-    a chunk stays valid until the caller asks for the one after next.
-    Leaving the block stops and joins the helper."""
+    A helper thread feeds chunk i to sha256 while the caller works on it,
+    and the next read fills a second buffer with chunk i+1, so a chunk
+    stays valid until the caller asks for the one after next. Leaving the
+    block stops and joins the helper."""
     with open(path, "rb") as fh:
         header = fh.read(_EMB_HEADER.size)
         if len(header) < _EMB_HEADER.size:
@@ -134,8 +131,7 @@ def open_embeddings(path):
         def chunks():
             digest = hashlib.sha256(header)
             buffers = _chunk_buffers(count, record)
-            # One chunk leaves the caller nothing to do while it is hashed.
-            with _Behind(count > CHUNK_ROWS) as helper:
+            with _Behind() as helper:
                 for start in range(0, count, CHUNK_ROWS):
                     chunk = next(buffers)[: min(CHUNK_ROWS, count - start)]
                     if fh.readinto(chunk) != chunk.nbytes:
@@ -152,52 +148,6 @@ def open_embeddings(path):
             records.close()
 
 
-class _Behind:
-    """Runs one call at a time behind the caller, on a helper thread of its
-    own when `threaded`, else at once on the caller's thread.
-
-    submit() first waits for the call before it, so at most one is in
-    flight, and raises its exception on the caller's thread, as wait() does.
-    Leaving the `with` block joins the helper; the helper's exception is
-    raised there unless the block is already raising one of its own."""
-
-    def __init__(self, threaded: bool) -> None:
-        self._threaded = threaded
-        self._thread = None
-        self._error = None
-
-    def _run(self, fn, args) -> None:
-        try:
-            fn(*args)
-        except BaseException as exc:  # re-raised on the caller's thread by wait()
-            self._error = exc
-
-    def submit(self, fn, *args) -> None:
-        self.wait()
-        if not self._threaded:
-            fn(*args)
-            return
-        self._thread = threading.Thread(target=self._run, args=(fn, args))
-        self._thread.start()
-
-    def wait(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def __enter__(self) -> "_Behind":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.wait()
-        elif self._thread is not None:
-            self._thread.join()
-
-
 def _chunk_buffers(count: int, record: np.dtype):
     """Record buffers of min(count, CHUNK_ROWS) rows for consecutive chunks:
     two that alternate, the second allocated only when asked for."""
@@ -209,16 +159,16 @@ def _chunk_buffers(count: int, record: np.dtype):
         yield first
 
 
-def _write_sealed(path, header: bytes, body, threaded: bool) -> str:
+def _write_sealed(path, header: bytes, body) -> str:
     """Write `header`, each buffer that `body` yields, and the sha256 of all
     of them to `<path>.tmp`, then rename it onto `path`. Returns the hex
     digest.
 
-    When `threaded`, a helper thread writes and hashes each buffer while
-    `body` makes the next; at most one buffer is in flight. Before `body` is
-    asked for a buffer, every buffer but the last it yielded is written and
-    hashed, so it may reuse the buffer it yielded two before. Any exception,
-    from `body` or the helper, is raised once the helper has stopped,
+    A helper thread writes and hashes each buffer while `body` makes the
+    next; at most one buffer is in flight. Before `body` is asked for a
+    buffer, every buffer but the last it yielded is written and hashed, so
+    it may reuse the buffer it yielded two before. Any exception, from
+    `body` or the helper, is raised once the helper has stopped,
     removes the tmp file and leaves `path` as it was."""
     tmp = Path(str(path) + ".tmp")
     digest = hashlib.sha256(header)
@@ -230,7 +180,7 @@ def _write_sealed(path, header: bytes, body, threaded: bool) -> str:
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            with _Behind(threaded) as helper:
+            with _Behind() as helper:
                 for buf in body:
                     helper.submit(put, buf)
             fh.write(digest.digest())
@@ -253,11 +203,11 @@ def write_embedding_chunks(
 ) -> str:
     """The one .emb writer. `chunks` yields (ids, vectors) pairs that add up
     to the `count` rows the header declares. They are packed at most
-    CHUNK_ROWS rows at a time into two alternating record buffers; past one
-    chunk, _write_sealed writes each while the next is packed. A piece's
-    vectors go into its records' `vec` field, cast to the file precision:
-    as they are, or times `transform` (`dim` columns) by the apply kernel,
-    straight into the records. `chunks` is read to its end before the file
+    CHUNK_ROWS rows at a time into two alternating record buffers, and
+    _write_sealed writes each while the next is packed. A piece's vectors
+    go into its records' `vec` field, cast to the file precision: as they
+    are, or times `transform` (`dim` columns) by the apply kernel, straight
+    into the records. `chunks` is read to its end before the file
     is sealed. Returns the hex sha256 of the file body."""
 
     def records():
@@ -280,7 +230,7 @@ def write_embedding_chunks(
     header = _EMB_HEADER.pack(
         EMB_MAGIC, FORMAT_VERSION, role.value, precision, count, dim, 0
     )
-    return _write_sealed(path, header, records(), count > CHUNK_ROWS)
+    return _write_sealed(path, header, records())
 
 
 def write_embeddings(emb: EmbeddingMatrix, path) -> str:
@@ -305,16 +255,20 @@ def read_embeddings(path) -> EmbeddingMatrix:
 
 
 def write_transform(matrix, path) -> str:
-    """Write a float64 transform; returns the hex sha256 of the file body."""
+    """Write a finite float64 transform; returns the hex sha256 of the file
+    body."""
     m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"transform must be a nonempty 2-D matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFinite(f"{path}: transform contains NaN or Inf")
     header = _TRF_HEADER.pack(TRF_MAGIC, FORMAT_VERSION, m.shape[0])
-    return _write_sealed(path, header, [m], threaded=False)
+    return _write_sealed(path, header, [m])
 
 
 def read_transform(path) -> np.ndarray:
-    """Read a .olt transform back, verifying structure and checksum."""
+    """Read a .olt transform back, verifying structure, checksum and that
+    every entry is finite."""
     raw = Path(path).read_bytes()
     if len(raw) < _TRF_HEADER.size + DIGEST_SIZE:
         raise CorruptFile(f"{path}: truncated file")
@@ -332,7 +286,10 @@ def read_transform(path) -> np.ndarray:
     cols = len(payload) // 8 // rows
     if cols == 0:
         raise CorruptFile(f"{path}: empty payload for dim {rows}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    m = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    if not np.all(np.isfinite(m)):
+        raise NonFinite(f"{path}: transform contains NaN or Inf")
+    return m
 
 
 @dataclass(frozen=True)

@@ -912,6 +912,23 @@ class TestApply:
         ])
         assert rc == 2
 
+    def test_non_finite_map_exits_2_and_keeps_out(self, tmp_path, capsys):
+        items, _ = random_pair(10, 5, 8, seed=8)
+        write_embeddings(items, tmp_path / "in.emb")
+        m = np.eye(8)
+        m[3, 5] = np.nan
+        body = struct.pack("<4sHI", b"OLRT", 1, 8) + m.astype("<f8").tobytes()
+        (tmp_path / "nan.olt").write_bytes(body + hashlib.sha256(body).digest())
+        (tmp_path / "out.emb").write_bytes(b"previous output")
+        rc = main([
+            "apply", "--emb", str(tmp_path / "in.emb"),
+            "--transform", str(tmp_path / "nan.olt"), "--out", str(tmp_path / "out.emb"),
+        ])
+        assert rc == 2
+        assert "NaN or Inf" in capsys.readouterr().err
+        assert (tmp_path / "out.emb").read_bytes() == b"previous output"
+        assert not (tmp_path / "out.emb.tmp").exists()
+
     def test_corrupt_input_exits_3_without_output(self, tmp_path):
         items, _ = random_pair(10, 5, 4, seed=9)
         emb_path = tmp_path / "in.emb"

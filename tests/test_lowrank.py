@@ -562,18 +562,18 @@ class TestLanes:
 
         def piece(i):
             ran.append(i)
-            if i == 1:  # lane 1: fails only once piece 2 has failed
+            if i == 0:  # the caller: fails only once piece 1 has failed
                 assert later_failed.wait(timeout=10)
-                raise ValueError("piece 1")
-            if i == 2:  # lane 0
+                raise ValueError("piece 0")
+            if i == 1:  # the helper
                 later_failed.set()
-                raise ValueError("piece 2")
+                raise ValueError("piece 1")
             return i
 
-        with pytest.raises(ValueError, match="piece 1"):
+        with pytest.raises(ValueError, match="piece 0"):
             lowrank._in_lanes(piece, range(8))
-        # Neither lane runs a piece after its failure.
-        assert sorted(ran) == [0, 1, 2]
+        # No piece starts after the failed pair.
+        assert sorted(ran) == [0, 1]
 
     def test_a_failure_stops_the_other_lane(self, monkeypatch):
         made = _counting_threads(monkeypatch)
@@ -606,9 +606,9 @@ class TestLanes:
         assert raised.value.args == (2,)
 
     def test_more_lanes_than_cores_under_fast_switching(self, monkeypatch):
-        # Lanes share the result and failure lists, one slot per writer; a
-        # lost or misplaced write would show here.
-        monkeypatch.setattr(lowrank, "LANES", 8)
+        # The caller and the helper share the result list, one slot per
+        # writer; a lost or misplaced write would show here.
+        monkeypatch.setattr(lowrank, "LANES", 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -627,6 +627,39 @@ class TestLanes:
                     assert raised.value.args == (fail,)
         finally:
             sys.setswitchinterval(interval)
+
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        failing=st.sets(st.integers(min_value=0, max_value=40)),
+        slow=st.sets(st.integers(min_value=0, max_value=40)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome_as_a_plain_loop(self, n, failing, slow):
+        started = []
+
+        def piece(i):
+            started.append(i)
+            if i in slow:  # lets either side of a pair finish first
+                time.sleep(0.0002)
+            if i in failing:
+                raise KeyError(i)
+            return [i] * (i % 3)
+
+        threads = set(threading.enumerate())
+        lowest = min((i for i in failing if i < n), default=None)
+        with mock.patch.object(lowrank, "LANES", 2):
+            if lowest is None:
+                assert lowrank._in_lanes(piece, range(n)) == [[i] * (i % 3) for i in range(n)]
+                assert sorted(started) == list(range(n))
+            else:
+                with pytest.raises(KeyError) as raised:
+                    lowrank._in_lanes(piece, range(n))
+                assert raised.value.args == (lowest,)
+                # Every piece up to the failure runs, and at most its pair
+                # partner past it.
+                assert set(range(lowest + 1)) <= set(started) <= set(range(lowest + 2))
+                assert len(started) == len(set(started))
+        assert set(threading.enumerate()) == threads
 
     def test_one_lane_starts_no_thread(self, monkeypatch):
         made = _counting_threads(monkeypatch)

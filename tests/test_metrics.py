@@ -156,6 +156,14 @@ class TestMeanSameIdCosine:
         with pytest.raises(RoleMismatch):
             mean_same_id_cosine(a, b)
 
+    def test_width_mismatch_names_both_widths(self):
+        items, users = random_pair(6, 5, 4, seed=18)
+        narrow_items, narrow_users = random_pair(6, 5, 3, seed=19)
+        with pytest.raises(DimensionMismatch, match="4 and 3"):
+            mean_same_id_cosine(items, narrow_items)
+        with pytest.raises(DimensionMismatch, match="4 and 3"):
+            compare_runs(items, users, narrow_items, narrow_users)
+
     def test_zero_norm_strict_names_offender(self):
         a = EmbeddingMatrix.of_items([[1.0, 0.0], [0.0, 0.0]], ids=[5, 9])
         b = EmbeddingMatrix.of_items([[1.0, 0.0], [1.0, 0.0]], ids=[5, 9])

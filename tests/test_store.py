@@ -37,6 +37,7 @@ from embstab.errors import (
     CorruptFile,
     DegenerateAlignmentWarning,
     InvalidRunId,
+    NonFinite,
     RankTruncationWarning,
     StaleReference,
     UnknownRun,
@@ -276,7 +277,7 @@ class TestStreamedApply:
                 assert set(threading.enumerate()) == threads
                 assert (files / "out.emb").read_bytes() == single, (rows, lanes)
 
-    def test_helper_threads_only_past_one_chunk(self, files, monkeypatch):
+    def test_one_helper_per_chunk_read_and_written(self, files, monkeypatch):
         monkeypatch.setattr(embstab.lowrank, "LANES", 1)
         made = []
         real = threading.Thread
@@ -287,10 +288,11 @@ class TestStreamedApply:
 
         monkeypatch.setattr(threading, "Thread", counted)
         assert self.apply(files, "float64") == 0
-        assert made == []
+        assert len(made) == 2  # one chunk read, one written
         monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 7)
+        made.clear()
         assert self.apply(files, "float64") == 0
-        assert len(made) == 12  # one per chunk read and per chunk written
+        assert len(made) == 12  # six chunks read, six written
         assert not any(thread.is_alive() for thread in made)
 
     def test_flipped_byte_in_last_chunk(self, files, monkeypatch):
@@ -385,6 +387,25 @@ class TestTransformFormat:
         body = struct.pack("<4sHI", b"OLRT", 1, 3) + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CorruptFile, match="payload"):
+            read_transform(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_is_not_written(self, tmp_path, bad):
+        m = np.eye(8)
+        m[3, 5] = bad
+        path = tmp_path / "t.olt"
+        with pytest.raises(NonFinite):
+            write_transform(m, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sealed_non_finite_map_is_not_read(self, tmp_path):
+        # A well-formed file, checksum and all, that holds one NaN.
+        m = np.eye(8)
+        m[3, 5] = np.nan
+        path = tmp_path / "t.olt"
+        body = struct.pack("<4sHI", b"OLRT", 1, 8) + m.astype("<f8").tobytes()
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(NonFinite):
             read_transform(path)
 
     def test_corrupt_checksum(self, tmp_path):
