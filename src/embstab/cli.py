@@ -9,8 +9,9 @@ data goes to files. Exit codes: 0 success, 2 validation error (bad
 dimensions, unknown run ids, insufficient overlap, a run with no live
 direction, a zero-norm row in a compared run, a `--top-k` below 1, an
 `--rbo-p` outside (0, 1), a non-numeric config value, a stale reference, a
-second `init` or a map holding NaN or Inf), 3 I/O error (including a malformed run `meta` or a run file
-whose digest differs from it) or out of memory.
+second `init`, a map holding NaN or Inf, or an `apply` input holding NaN,
+Inf or a repeated id), 3 I/O error (including a malformed run `meta` or a
+run file whose digest differs from it) or out of memory.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     EmbStabError,
     InvalidConfig,
 )
+from .lowrank import _refuse_rows
 from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
@@ -177,6 +179,20 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _checked_rows(role, count: int, chunks):
+    """(ids, vectors) of each streamed chunk; after the last, once the reader
+    has checked the digest, rows that read_embeddings refuses raise what it
+    raises, found in a copy of the ids (8 bytes a row)."""
+    ids, finite, start = np.empty(count, dtype=np.uint64), True, 0
+    for chunk in chunks:
+        finite = finite and bool(np.all(np.isfinite(chunk["vec"])))
+        ids[start : start + len(chunk)] = chunk["id"]
+        start += len(chunk)
+        yield chunk["id"], chunk["vec"]
+    ids.sort()
+    _refuse_rows(role, ids, finite)
+
+
 def _cmd_apply(args) -> int:
     transform = read_transform(args.transform)
     with open_embeddings(args.emb) as (role, precision, count, dim, chunks):
@@ -185,10 +201,11 @@ def _cmd_apply(args) -> int:
                 f"embedding width {dim} != transform row count {transform.shape[0]}"
             )
         # The codec call that writes a stored run's stabilized pair, so the
-        # streamed file matches it, and apply_transform, bit for bit.
+        # streamed file matches it, and apply_transform, bit for bit. It
+        # drains the rows, checks and all, before renaming --out into place.
         write_embedding_chunks(
             args.out, role, precision, count, transform.shape[1],
-            ((chunk["id"], chunk["vec"]) for chunk in chunks), transform,
+            _checked_rows(role, count, chunks), transform,
         )
     return EXIT_OK
 
@@ -199,15 +216,12 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
-    except CorruptFile as exc:
+    except (CorruptFile, OSError) as exc:  # caught before EmbStabError, its base
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EmbStabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -18,13 +18,9 @@ order, whatever pieces they were read in; a side of at most one block
 takes the single QR alone.
 
 The apply kernel (rowwise_matmul) sums each output in one fixed order,
-ascending over the input width. It multiplies small tiles of rows,
-transposed so that the rows are the innermost axis, which keeps that order
-for any map, and writes each result straight into the caller's output. Long
-inputs are cut into up to LANES contiguous row parts: the caller runs the
-first while one helper thread runs the second. Each output row depends only
-on its input row, so the bytes are the same at any lane count and any
-tiling.
+ascending over the input width, and cuts every input of two or more rows
+into LANES contiguous parts, one per lane. Each output row depends only on
+its input row, so the bytes are the same at any lane count and any tiling.
 """
 
 from __future__ import annotations
@@ -47,10 +43,10 @@ from .errors import (
 )
 
 # Singular values at or below max(this, e * eps) times the largest are
-# treated as zero, eps being the machine epsilon of the coarser input dtype
-# (numpy's matrix_rank default). For float64 this floor governs up to e of
-# 4503; float32 rounding leaves about 1e-8 of the largest in a dead
-# direction, which e * eps(float32) clears.
+# treated as zero (numpy's matrix_rank default, with a floor), by the score
+# space's truncation and Procrustes' degeneracy check alike. For float64
+# this floor governs up to e of 4503; float32 rounding leaves about 1e-8 of
+# the largest in a dead direction, which e * eps(float32) clears.
 SV_TRUNCATION_RTOL = 1e-12
 
 # Rows per block of the R-factor TSQR, raised to 2e for wider inputs.
@@ -70,9 +66,6 @@ def _usable_cpus() -> int:
 # A third is unmeasured and would add one more of validate's score blocks to
 # its memory.
 LANES = min(2, _usable_cpus())
-
-# Fewest rows the apply kernel gives one lane; shorter inputs run on one.
-LANE_MIN_ROWS = 4096
 
 # Rows per tile of the apply kernel: a tile's float64 scratch and result,
 # e x TILE_ROWS each, stay in L2 (256 KiB each at e = 64). Of 256, 512 and
@@ -126,23 +119,22 @@ class _Behind:
 def _in_lanes(fn, pieces) -> list:
     """[fn(piece) for piece in pieces], on LANES lanes.
 
-    With two lanes the pieces go in pairs: a _Behind helper runs piece i+1
-    while the caller runs piece i, and the pair is joined before the next
-    starts. So at most two pieces run at once, none starts after a lower
+    The pieces go LANES at a time: with two lanes a _Behind helper runs
+    piece i+1 while the caller runs piece i, and the pair is joined before
+    the next starts; with one the caller runs each in turn and no thread
+    starts. So at most LANES pieces run at once, none starts after a lower
     one has failed, and the failure raised is that of the lowest piece, the
     one a plain loop over the pieces would raise.
     """
     pieces = list(pieces)
-    if LANES == 1:
-        return [fn(piece) for piece in pieces]
     results = [None] * len(pieces)
 
     def run(i: int) -> None:
         results[i] = fn(pieces[i])
 
     with _Behind() as helper:
-        for i in range(0, len(pieces), 2):
-            if i + 1 < len(pieces):
+        for i in range(0, len(pieces), LANES):
+            if i + 1 < min(i + LANES, len(pieces)):
                 helper.submit(run, i + 1)
             run(i)
             helper.wait()
@@ -158,6 +150,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.setflags(write=False)
     return view
+
+
+def _refuse_rows(role: Role, sorted_ids: np.ndarray, finite: bool) -> None:
+    """EmbeddingMatrix's refusals: DuplicateId if the ascending `sorted_ids`
+    repeat an id, else NonFinite unless the vectors are `finite`."""
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]):
+        raise DuplicateId(f"{role.name.lower()} ids are not unique")
+    if not finite:
+        raise NonFinite(f"{role.name.lower()} vectors contain NaN or Inf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,27 +185,17 @@ class EmbeddingMatrix:
             raise DimensionMismatch(
                 f"{ids.shape[0] if ids.ndim == 1 else ids.shape} ids for {vectors.shape[0]} rows"
             )
-        sorted_ids = np.sort(ids)
-        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
-            raise DuplicateId(f"{self.role.name.lower()} ids are not unique")
-        if vectors.size and not np.all(np.isfinite(vectors)):
-            raise NonFinite(f"{self.role.name.lower()} vectors contain NaN or Inf")
+        _refuse_rows(self.role, np.sort(ids), not vectors.size or np.all(np.isfinite(vectors)))
         object.__setattr__(self, "ids", _readonly(ids))
         object.__setattr__(self, "vectors", _readonly(np.ascontiguousarray(vectors)))
 
     @classmethod
     def of_items(cls, vectors, ids=None) -> "EmbeddingMatrix":
-        vectors = np.asarray(vectors)
-        if ids is None:
-            ids = np.arange(vectors.shape[0], dtype=np.uint64)
-        return cls(Role.ITEM, ids, vectors)
+        return cls(Role.ITEM, np.arange(len(vectors)) if ids is None else ids, vectors)
 
     @classmethod
     def of_users(cls, vectors, ids=None) -> "EmbeddingMatrix":
-        vectors = np.asarray(vectors)
-        if ids is None:
-            ids = np.arange(vectors.shape[0], dtype=np.uint64)
-        return cls(Role.USER, ids, vectors)
+        return cls(Role.USER, np.arange(len(vectors)) if ids is None else ids, vectors)
 
     @property
     def n(self) -> int:
@@ -293,6 +284,12 @@ def _canonical_svd(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u * signs, s, signs[:, None] * vt
 
 
+def _dead_sv_threshold(s: np.ndarray, dim: int, eps: float) -> float:
+    """Where a singular value of the descending spectrum `s` of a `dim`-wide
+    matrix, from data of machine epsilon `eps`, is dead: at or below this."""
+    return max(SV_TRUNCATION_RTOL, dim * eps) * (s[0] if s.size else 0.0)
+
+
 def _check_pair(items: EmbeddingMatrix, users: EmbeddingMatrix) -> None:
     if items.role is not Role.ITEM:
         raise RoleMismatch(f"expected an item matrix, got role {items.role.name}")
@@ -340,8 +337,7 @@ def low_rank_svd_trans(items: EmbeddingMatrix, users: EmbeddingMatrix) -> SvdTra
 
     dim = items.dim
     eps = max(np.finfo(items.vectors.dtype).eps, np.finfo(users.vectors.dtype).eps)
-    threshold = max(SV_TRUNCATION_RTOL, dim * eps) * (s[0] if s.size else 0.0)
-    kept = int(np.count_nonzero(s > threshold))
+    kept = int(np.count_nonzero(s > _dead_sv_threshold(s, dim, eps)))
     if kept == 0:
         raise RankDeficient("score space has no singular value above the truncation threshold")
     if kept < dim:
@@ -383,15 +379,15 @@ def rowwise_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray | None = Non
     records, or a new float64 array when omitted. The scratch is two tiles
     per lane, so the kernel adds no memory that grows with n.
 
-    The n rows are cut into min(LANES, n // LANE_MIN_ROWS) contiguous parts
-    (one at least), each tiled and multiplied on its own lane. Since every
-    row is computed alone, the bytes are the same at any lane count.
+    The n rows are cut into min(LANES, n) contiguous parts (one at least),
+    each tiled and multiplied on its own lane. Since every row is computed
+    alone, the bytes are the same at any lane count.
     """
     rows, m = np.asarray(rows), np.asarray(m, dtype=np.float64)
     n, e = rows.shape
     if out is None:
         out = np.empty((n, m.shape[1]))
-    parts = max(1, min(LANES, n // LANE_MIN_ROWS))
+    parts = max(1, min(LANES, n))
 
     def part(span: slice) -> None:
         # TILE_ROWS columns even for a shorter tile: a one-row tile whose k

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAlignmentWarning, DimensionMismatch, NonFinite
-from .lowrank import _readonly
-
-# Cross-covariance singular values below this fraction of the largest mean
-# the optimal alignment is not unique.
-DEGENERATE_SV_RTOL = 1e-12
+from .lowrank import _dead_sv_threshold, _readonly
 
 ORTHONORMALITY_RTOL = 1e-12
 
@@ -74,9 +70,11 @@ def ortho_procrustes(a, b) -> AlignmentMap:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NonFinite("alignment inputs contain NaN or Inf")
 
+    # A dead singular value of the cross-covariance means the optimal
+    # alignment is not unique.
     cross = b.T @ a
     u, s, vt = np.linalg.svd(cross, full_matrices=False)
-    if s.size == 0 or s[-1] <= DEGENERATE_SV_RTOL * s[0]:
+    if s.size == 0 or s[-1] <= _dead_sv_threshold(s, a.shape[1], np.finfo(np.float64).eps):
         warnings.warn(
             DegenerateAlignmentWarning(
                 "cross-covariance is rank deficient; alignment is optimal but not unique"

@@ -153,25 +153,17 @@ def gen_retrained_run(
     t = base_items.vectors.astype(np.float64)
     w = base_users.vectors.astype(np.float64)
 
-    if cfg.rotation is Rotation.ORTHOGONAL:
-        mix = haar_orthogonal(cfg.dim, rng)
-    elif cfg.rotation is Rotation.GENERAL_INVERTIBLE:
-        mix = _clipped_invertible(cfg.dim, rng)
-    else:
-        mix = None
-    if mix is not None:
-        t = t @ mix
-        w = w @ mix
+    if cfg.rotation is not Rotation.NONE:
+        draw = haar_orthogonal if cfg.rotation is Rotation.ORTHOGONAL else _clipped_invertible
+        mix = draw(cfg.dim, rng)
+        t, w = t @ mix, w @ mix
 
-    if cfg.noise_scale > 0:
-        noise_t = rng.standard_normal(t.shape)
-        t = t + noise_t * (
-            cfg.noise_scale * np.linalg.norm(base_items.vectors) / np.linalg.norm(noise_t)
-        )
-        noise_w = rng.standard_normal(w.shape)
-        w = w + noise_w * (
-            cfg.noise_scale * np.linalg.norm(base_users.vectors) / np.linalg.norm(noise_w)
-        )
+    def noisy(x: np.ndarray, base: np.ndarray) -> np.ndarray:
+        noise = rng.standard_normal(x.shape)
+        return x + noise * (cfg.noise_scale * np.linalg.norm(base) / np.linalg.norm(noise))
+
+    if cfg.noise_scale > 0:  # items' noise drawn first
+        t, w = noisy(t, base_items.vectors), noisy(w, base_users.vectors)
 
     item_ids = np.asarray(base_items.ids)
     n_drop = int(cfg.vocab_drop_fraction * base_items.n)

@@ -19,8 +19,8 @@ most CHUNK_ROWS records at a time. Each side keeps one helper thread
 the caller works on it and the next read fills a second buffer; the writer
 writes and hashes chunk i while the caller fills chunk i+1 in a second
 buffer. So a streamed `apply` holds at most two input and two output chunk
-buffers, whatever the row count, and runs at most LANES + 2 threads. Each
-helper is joined before its stream ends, raises or is abandoned.
+buffers, besides its copy of the ids, and runs at most LANES + 2 threads.
+Each helper is joined before its stream ends, raises or is abandoned.
 
 Transform file (.olt), all little-endian:
 
@@ -473,19 +473,16 @@ class RunStore:
                 for _ in chunks:
                     pass
 
-    def load_stabilized(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
+    def _load_pair(self, run_id: str, prefix: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
         record = self.load_record(run_id)
-        return (
-            read_embeddings(self._listed(record, "items.emb")),
-            read_embeddings(self._listed(record, "users.emb")),
-        )
+        names = (f"{prefix}items.emb", f"{prefix}users.emb")
+        return tuple(read_embeddings(self._listed(record, name)) for name in names)
+
+    def load_stabilized(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
+        return self._load_pair(run_id, "")
 
     def load_raw(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-        record = self.load_record(run_id)
-        return (
-            read_embeddings(self._listed(record, "raw_items.emb")),
-            read_embeddings(self._listed(record, "raw_users.emb")),
-        )
+        return self._load_pair(run_id, "raw_")
 
     def latest_reference_id(self) -> str | None:
         if not self.latest_ref_path.exists():

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 from embstab import (
     EmbeddingMatrix,
+    Role,
     RunRecord,
     apply_transform,
     low_rank_svd_trans,
@@ -29,7 +31,10 @@ import embstab.lowrank
 import embstab.metrics
 import embstab.store
 from embstab.cli import main
-from embstab.errors import DegenerateAlignmentWarning, RankTruncationWarning
+from embstab.errors import (
+    DegenerateAlignmentWarning, DuplicateId, NonFinite, RankTruncationWarning,
+)
+from embstab.store import write_embedding_chunks
 from conftest import (
     DAMAGED_FILE, MALFORMED_META, child_env, random_pair, rank_r_pair, rel_fro,
 )
@@ -929,6 +934,46 @@ class TestApply:
         assert (tmp_path / "out.emb").read_bytes() == b"previous output"
         assert not (tmp_path / "out.emb.tmp").exists()
 
+    def refused_input_keeps_out(self, tmp_path, capsys, ids, vectors, error):
+        """apply of rows that read_embeddings refuses exits 2 with its error
+        and leaves --out as it was."""
+        emb_path = tmp_path / "in.emb"
+        precision = vectors.dtype.itemsize
+        write_embedding_chunks(
+            emb_path, Role.USER, precision, len(ids), vectors.shape[1], [(ids, vectors)]
+        )
+        with pytest.raises(error) as refused:
+            read_embeddings(emb_path)
+        write_transform(np.eye(vectors.shape[1]), tmp_path / "id.olt")
+        (tmp_path / "out.emb").write_bytes(b"previous output")
+        threads = set(threading.enumerate())
+        rc = main([
+            "apply", "--emb", str(emb_path),
+            "--transform", str(tmp_path / "id.olt"), "--out", str(tmp_path / "out.emb"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert set(threading.enumerate()) == threads
+        assert (tmp_path / "out.emb").read_bytes() == b"previous output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["id.olt", "in.emb", "out.emb"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_exits_2_and_keeps_out(
+        self, tmp_path, capsys, monkeypatch, dtype, bad
+    ):
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 3)
+        vectors = np.random.default_rng(14).standard_normal((8, 3)).astype(dtype)
+        vectors[4, 1] = bad  # in the second of three chunks
+        ids = np.arange(8, dtype=np.uint64)
+        self.refused_input_keeps_out(tmp_path, capsys, ids, vectors, NonFinite)
+
+    def test_repeated_id_across_chunks_exits_2_and_keeps_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 3)
+        vectors = np.random.default_rng(15).standard_normal((8, 3))
+        ids = np.array([9, 40, 2, 7, 11, 5, 40, 1], dtype=np.uint64)  # chunks 1 and 3
+        self.refused_input_keeps_out(tmp_path, capsys, ids, vectors, DuplicateId)
+
     def test_corrupt_input_exits_3_without_output(self, tmp_path):
         items, _ = random_pair(10, 5, 4, seed=9)
         emb_path = tmp_path / "in.emb"
@@ -1049,8 +1094,8 @@ def test_output_bytes_do_not_depend_on_the_cpu_set(tmp_path):
             "--users", str(sim / f"run_00{run}.users.emb"),
             "--run-id", f"run{run}", "--out", str(store),
         ]) == 0
-    # Inputs long enough for the apply kernel to split them in two.
-    rows = 2 * embstab.lowrank.LANE_MIN_ROWS + 7
+    # Inputs of many tiles, which the apply kernel splits in two.
+    rows = 8199
     gen = np.random.default_rng(3)
     for dtype in (np.float32, np.float64):
         users = EmbeddingMatrix.of_users(gen.standard_normal((rows, 16)).astype(dtype))

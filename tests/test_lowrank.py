@@ -470,11 +470,9 @@ class TestRowwiseMatmul:
         parts = [rowwise_matmul(rows[a:b], m) for a, b in zip(bounds, bounds[1:])]
         assert np.array_equal(np.concatenate(parts), whole)
 
-    # The row counts on either side of each change in the number of parts.
+    # Long inputs, whose parts each run many tiles.
     @given(
-        n=st.sampled_from(
-            [d + c * lowrank.LANE_MIN_ROWS for c in (1, 2) for d in (-1, 0, 1)]
-        ),
+        n=st.sampled_from([d + c * 4096 for c in (1, 2) for d in (-1, 0, 1)]),
         e=st.integers(min_value=1, max_value=70),
         e_out=st.integers(min_value=1, max_value=70),
         f32=st.booleans(),
@@ -493,8 +491,8 @@ class TestRowwiseMatmul:
 
     # Row counts at tile boundaries, one output column, and rows read from and
     # written straight into the strided `vec` fields of .emb records, as
-    # `apply` does. LANE_MIN_ROWS is lowered so that two lanes split even
-    # these short inputs, and each part starts its tiles part-way through.
+    # `apply` does. Two lanes split every input of two or more rows, so
+    # each part starts its tiles part-way through.
     @given(
         n=st.sampled_from(
             [1, *(d + c * lowrank.TILE_ROWS for c in (1, 2) for d in (-1, 0, 1))]
@@ -513,8 +511,7 @@ class TestRowwiseMatmul:
         src["vec"] = gen.standard_normal((n, e))
         dst = np.zeros(n, dtype=[("id", "<u8"), ("vec", dtype, (e_out,))])
         dst["id"] = np.arange(n) + 7
-        with mock.patch.object(lowrank, "LANES", lanes), \
-                mock.patch.object(lowrank, "LANE_MIN_ROWS", 64):
+        with mock.patch.object(lowrank, "LANES", lanes):
             rowwise_matmul(src["vec"], m, dst["vec"])
         expected = ascending_k_loop(src["vec"], m).astype(dtype)
         assert np.ascontiguousarray(dst["vec"]).tobytes() == expected.tobytes()
@@ -663,7 +660,7 @@ class TestLanes:
 
     def test_one_lane_starts_no_thread(self, monkeypatch):
         made = _counting_threads(monkeypatch)
-        rows = np.ones((3 * lowrank.LANE_MIN_ROWS, 4))
+        rows = np.ones((3 * lowrank.TILE_ROWS, 4))
         monkeypatch.setattr(lowrank, "LANES", 2)
         rowwise_matmul(rows, np.eye(4))
         assert len(made) == 1 and not made[0].is_alive()
@@ -673,9 +670,36 @@ class TestLanes:
         assert np.array_equal(rowwise_matmul(rows, np.eye(4)), rows)
         assert made == []
 
-    def test_short_input_runs_on_the_calling_thread(self, monkeypatch):
-        made = _counting_threads(monkeypatch)
-        monkeypatch.setattr(lowrank, "LANES", 2)
-        rowwise_matmul(np.ones((2 * lowrank.LANE_MIN_ROWS - 1, 3)), np.eye(3))
-        rowwise_matmul(np.ones((0, 3)), np.eye(3))
-        assert made == []
+    def test_short_input_same_bytes_on_one_and_two_lanes(self, monkeypatch):
+        for n in (0, 1, 2, 3, 5):
+            gen = np.random.default_rng(n)
+            rows, m = gen.standard_normal((n, 3)), gen.standard_normal((3, 2))
+            outs = []
+            for lanes in (1, 2):
+                monkeypatch.setattr(lowrank, "LANES", lanes)
+                outs.append(rowwise_matmul(rows, m).tobytes())
+            assert outs[0] == outs[1] == ascending_k_loop(rows, m).tobytes(), n
+
+    # Every row count from none to past three tiles, at one lane and two.
+    @given(
+        n=st.integers(min_value=0, max_value=3 * lowrank.TILE_ROWS + 1),
+        e=st.integers(min_value=1, max_value=16),
+        e_out=st.integers(min_value=1, max_value=16),
+        lanes=st.sampled_from([1, 2]),
+    )
+    @example(n=2, e=3, e_out=1, lanes=2)
+    @settings(max_examples=100, deadline=None)
+    def test_one_rule_for_every_row_count(self, n, e, e_out, lanes):
+        gen = np.random.default_rng([n, e, e_out])
+        rows, m = gen.standard_normal((n, e)), gen.standard_normal((e, e_out))
+        threads = set(threading.enumerate())
+        with pytest.MonkeyPatch.context() as patch:
+            made = _counting_threads(patch)
+            patch.setattr(lowrank, "LANES", lanes)
+            out = rowwise_matmul(rows, m)
+        assert out.tobytes() == ascending_k_loop(rows, m).tobytes()
+        # One helper, for the second of two parts: two lanes split every
+        # input of two or more rows.
+        assert len(made) == (1 if lanes == 2 and n >= 2 else 0)
+        assert not any(thread.is_alive() for thread in made)
+        assert set(threading.enumerate()) == threads

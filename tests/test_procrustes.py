@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -108,6 +110,19 @@ class TestOrthoProcrustes:
         with pytest.warns(DegenerateAlignmentWarning):
             amap = ortho_procrustes(a, b)
         assert np.linalg.norm(amap.matrix.T @ amap.matrix - np.eye(4)) <= 1e-12 * 4
+
+    @pytest.mark.parametrize(
+        "last, degenerate", [(0.999e-12, True), (1e-12, True), (1.001e-12, False)]
+    )
+    def test_degenerate_at_the_truncation_threshold(self, last, degenerate):
+        # The score space's truncation rule: at e = 8 in float64, a singular
+        # value at or below 1e-12 of the largest is dead.
+        spectrum = np.ones(8)
+        spectrum[-1] = last
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ortho_procrustes(np.eye(8), np.diag(spectrum))
+        assert [w.category for w in caught] == [DegenerateAlignmentWarning] * degenerate
 
     def test_rectangular_source_into_larger_target(self):
         # Every map is e x e, so a narrower source never aligns into a wider

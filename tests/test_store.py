@@ -267,7 +267,6 @@ class TestStreamedApply:
     def test_output_bytes_do_not_depend_on_chunks_or_lanes(self, files, monkeypatch, name):
         assert self.apply(files, name) == 0
         single = (files / "out.emb").read_bytes()
-        monkeypatch.setattr(embstab.lowrank, "LANE_MIN_ROWS", 2)
         for rows in (1, 7, 37):
             for lanes in (1, 2):
                 monkeypatch.setattr(embstab.store, "CHUNK_ROWS", rows)
@@ -328,8 +327,9 @@ class TestStreamedApply:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_memory_is_bounded_by_chunk_buffers(self, tmp_path, monkeypatch, dtype):
         """Two input and two output chunk buffers, plus the kernel's tiles,
-        whatever the row count."""
-        chunk, width = 2 * embstab.lowrank.LANE_MIN_ROWS, 32
+        whatever the row count; the 1 MiB of slack also covers the copy of
+        the ids that apply checks, 8 bytes a row."""
+        chunk, width = 8192, 32
         monkeypatch.setattr(embstab.store, "CHUNK_ROWS", chunk)
         gen = np.random.default_rng(5)
         write_transform(gen.standard_normal((width, width)), tmp_path / "m.olt")
