@@ -124,3 +124,14 @@ def chain_gaps(run0, run1, run2):
     return tuple(
         float(np.linalg.norm(a.vectors.astype(np.float64) - b.vectors)) for a, b in pairs
     )
+
+
+@pytest.fixture(autouse=True)
+def no_exit_in_process(monkeypatch):
+    """Code a test calls in process returns: only cli.run(), in a child, may
+    end the process, so os._exit raises here instead of ending pytest."""
+
+    def refused(code):
+        raise AssertionError(f"os._exit({code}) called in process")
+
+    monkeypatch.setattr(os, "_exit", refused)

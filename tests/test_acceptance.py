@@ -223,8 +223,11 @@ def test_c6_reference_chaining_equivalence():
 def test_c7_linear_scaling_in_item_count():
     # Doubling n at fixed m and e changes the fit time by roughly the
     # linear-cost prediction; absolute time stays far under the budget.
+    # With m a tenth of the small n, that prediction is (2 + 0.1)/(1 + 0.1),
+    # about 1.91, in the middle of the band; at m = n it would be 1.5,
+    # inside the timing noise above the band's floor.
     dim = 128
-    m = 100_000
+    m = 10_000
     users = EmbeddingMatrix.of_users(
         np.random.default_rng(1).standard_normal((m, dim)) / np.sqrt(dim)
     )

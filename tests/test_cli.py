@@ -1075,6 +1075,101 @@ def test_cli_uses_no_private_store_names():
     assert private == []
 
 
+def cli_child(*args, code=None, cwd=None):
+    """Run `python -m embstab.cli ARGS`, or `python -c CODE ARGS`, in a child
+    whose standard streams are pipes, block-buffered as in any pipeline:
+    PYTHONUNBUFFERED is not passed on."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    entry = ["-m", "embstab.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *entry, *map(str, args)],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """`embstab` and `python -m embstab.cli` end through cli.run(), which
+    skips the interpreter's teardown once main() has returned."""
+
+    def test_console_script_is_run(self):
+        pyproject = Path(embstab.__file__).parents[2] / "pyproject.toml"
+        if not pyproject.exists():
+            pytest.skip("not a source checkout")
+        assert 'embstab = "embstab.cli:run"' in pyproject.read_text().splitlines()
+
+    def test_apply_writes_the_bytes_of_main(self, tmp_path):
+        users, _ = random_pair(5000, 5, 16, seed=20, dtype=np.float32)
+        write_embeddings(users, tmp_path / "in.emb")
+        write_transform(np.random.default_rng(21).standard_normal((16, 16)), tmp_path / "m.olt")
+        apply = ["apply", "--emb", tmp_path / "in.emb", "--transform", tmp_path / "m.olt"]
+        assert main([*map(str, apply), "--out", str(tmp_path / "main.emb")]) == 0
+        child = cli_child(*apply, "--out", tmp_path / "child.emb")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+        assert (tmp_path / "child.emb").read_bytes() == (tmp_path / "main.emb").read_bytes()
+
+    def test_non_finite_input_exits_2_with_one_line_and_keeps_out(self, tmp_path):
+        vectors = np.random.default_rng(22).standard_normal((40, 4))
+        vectors[17, 2] = np.nan
+        write_embedding_chunks(
+            tmp_path / "in.emb", Role.USER, 8, 40, 4, [(np.arange(40, dtype=np.uint64), vectors)]
+        )
+        with pytest.raises(NonFinite) as refused:
+            read_embeddings(tmp_path / "in.emb")
+        write_transform(np.eye(4), tmp_path / "id.olt")
+        (tmp_path / "out.emb").write_bytes(b"previous output")
+        child = cli_child(
+            "apply", "--emb", tmp_path / "in.emb", "--transform", tmp_path / "id.olt",
+            "--out", tmp_path / "out.emb",
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == f"error: {refused.value}\n"
+        assert (tmp_path / "out.emb").read_bytes() == b"previous output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["id.olt", "in.emb", "out.emb"]
+
+    def test_corrupt_input_exits_3_with_the_line_of_main(self, tmp_path, capsys):
+        items, _ = random_pair(10, 5, 4, seed=23)
+        write_embeddings(items, tmp_path / "in.emb")
+        DAMAGED_FILE["flipped_body_byte"](tmp_path / "in.emb")
+        write_transform(np.eye(4), tmp_path / "id.olt")
+        apply = ["apply", "--emb", tmp_path / "in.emb", "--transform", tmp_path / "id.olt",
+                 "--out", tmp_path / "out.emb"]
+        assert main(list(map(str, apply))) == 3
+        line = capsys.readouterr().err
+        assert line.startswith("error: ") and line.count("\n") == 1
+        child = cli_child(*apply)
+        assert (child.returncode, child.stdout, child.stderr) == (3, "", line)
+        assert not (tmp_path / "out.emb").exists()
+
+    def test_help_exits_0_with_usage_on_stdout(self):
+        child = cli_child("--help")
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.startswith("usage: embstab")
+        assert "apply" in child.stdout
+
+    @pytest.mark.parametrize(
+        ("args", "code", "hooked"),
+        [(["--help"], 0, True), (["bogus"], 2, True),
+         (["apply", "--emb", "a.emb", "--transform", "m.olt", "--out", "o.emb"], 3, False)],
+    )
+    def test_exit_hooks_run_only_when_main_raises(self, tmp_path, args, code, hooked):
+        """What main() returns ends the process at once, exit hooks unrun,
+        after what the streams hold is flushed; argparse's SystemExit leaves
+        main() and exits normally."""
+        script = (
+            "import atexit, sys\n"
+            "from embstab import cli\n"
+            "atexit.register(print, 'exit hook', file=sys.stderr)\n"
+            "print('out', end='')\n"
+            "print('err', end='', file=sys.stderr)\n"
+            "cli.run()\n"
+        )
+        child = cli_child(*args, code=script, cwd=tmp_path)
+        assert child.returncode == code
+        assert child.stdout.startswith("out") and child.stderr.startswith("err")
+        assert child.stderr.endswith("exit hook\n") == hooked
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs sched_setaffinity and at least two CPUs",
