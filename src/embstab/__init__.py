@@ -23,7 +23,7 @@ from .metrics import (
     rank_correlation_report,
     write_report,
 )
-from .procrustes import AlignmentMap, ortho_procrustes
+from .procrustes import ortho_procrustes
 from .simulator import (
     Rotation,
     SimConfig,
@@ -32,7 +32,6 @@ from .simulator import (
     load_sim_config,
 )
 from .stabilizer import (
-    ReferenceSpace,
     StabilizedRun,
     init_reference,
     stabilize_run,
@@ -49,10 +48,8 @@ from .store import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentMap",
     "EmbeddingMatrix",
     "MetricsReport",
-    "ReferenceSpace",
     "Role",
     "Rotation",
     "RunRecord",

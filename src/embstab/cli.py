@@ -31,7 +31,7 @@ from .errors import (
     EmbStabError,
     InvalidConfig,
 )
-from .lowrank import _refuse_rows
+from .lowrank import _refuse_rows, apply_transform
 from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
@@ -143,14 +143,20 @@ def _render_table(report: MetricsReport, run_a: str, run_b: str, raw: bool) -> s
     return "\n".join(lines)
 
 
+def _pair(run, raw: bool):
+    """A stored run's (items, users): raw, or stabilized as save_run wrote
+    them, by the same kernel."""
+    if raw:
+        return run.raw_items, run.raw_users
+    return (apply_transform(run.raw_items, run.item_map),
+            apply_transform(run.raw_users, run.user_map))
+
+
 def _cmd_validate(args) -> int:
     store = RunStore(args.store)
-    load = store.load_raw if args.raw else store.load_stabilized
-    items_a, users_a = load(args.run_a)
-    items_b, users_b = load(args.run_b)
-    report = compare_runs(
-        items_a, users_a, items_b, users_b, top_k=args.top_k, p=args.rbo_p
-    )
+    sides = [side for run_id in (args.run_a, args.run_b)
+             for side in _pair(store.load_run(run_id), args.raw)]
+    report = compare_runs(*sides, top_k=args.top_k, p=args.rbo_p)
     out_dir = (
         Path(args.out)
         if args.out

@@ -3,13 +3,13 @@
 Finds the orthogonal map that, applied on the right of one set of row
 vectors, brings it as close as possible (in Frobenius norm) to a second
 set. Because the map is orthogonal it cannot change any dot product
-between rows that are transformed consistently on both sides.
+between rows that are transformed consistently on both sides. The map is a
+read-only float64 e x e array, checked orthogonal where it is made.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,37 +19,7 @@ from .lowrank import _dead_sv_threshold, _readonly
 ORTHONORMALITY_RTOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class AlignmentMap:
-    """Right-multiplication map from a source coordinate system into a target one.
-
-    matrix is square and orthogonal, e x e like every map in the standard
-    space. Reflections (determinant -1) are permitted; sign-flip ambiguity
-    between SVD spaces requires them.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"alignment matrix shape {m.shape} is not square")
-        e = m.shape[0]
-        gram_gap = np.linalg.norm(m @ m.T - np.eye(e))
-        if gram_gap > ORTHONORMALITY_RTOL * e:
-            raise ValueError(f"alignment rows are not orthonormal: residual {gram_gap:.3e}")
-        det = float(np.linalg.det(m))
-        if abs(abs(det) - 1.0) > 1e-10:
-            raise ValueError(f"|det| = {abs(det):.12f} is not 1")
-        object.__setattr__(self, "_det", det)
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def is_reflection(self) -> bool:
-        return self._det < 0
-
-
-def ortho_procrustes(a, b) -> AlignmentMap:
+def ortho_procrustes(a, b) -> np.ndarray:
     """Solve min over orthogonal maps r of ||a @ r - b||_F.
 
     a and b must have the same shape: paired observations of the same
@@ -58,6 +28,10 @@ def ortho_procrustes(a, b) -> AlignmentMap:
     as for a rank-truncated source or anchor with zero columns, the result
     is an orthogonal completion, equally optimal, and a
     DegenerateAlignmentWarning is emitted.
+
+    Returns r as a read-only float64 e x e array. Reflections (determinant
+    -1) are permitted: sign flips between SVD spaces need them. Raises
+    ValueError unless r r^T is the identity to 1e-12 * e and |det r| is 1.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -82,4 +56,11 @@ def ortho_procrustes(a, b) -> AlignmentMap:
             stacklevel=2,
         )
     r = (u @ vt).T
-    return AlignmentMap(matrix=r)
+    e = r.shape[0]
+    gram_gap = np.linalg.norm(r @ r.T - np.eye(e))
+    if gram_gap > ORTHONORMALITY_RTOL * e:
+        raise ValueError(f"alignment rows are not orthonormal: residual {gram_gap:.3e}")
+    det = float(np.linalg.det(r))
+    if abs(abs(det) - 1.0) > 1e-10:
+        raise ValueError(f"|det| = {abs(det):.12f} is not 1")
+    return _readonly(r)

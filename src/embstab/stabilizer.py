@@ -1,11 +1,12 @@
 """Composition of the score-space SVD transform with Procrustes alignment.
 
-A reference run seeds the standard space: its SVD-transformed item
-embeddings become the anchor. Every later run is SVD-transformed the same
-way, its items are aligned onto the anchor with an orthogonal map, and the
-two steps collapse into a single small matrix per side; a run is its inputs
-and those two maps. Each run can anchor the next one (reference chaining),
-so the seed run is not a special case forever.
+A reference run seeds the standard space. Every later run is
+SVD-transformed the same way, its items are aligned with an orthogonal map
+onto its reference's items in that space (the anchor: the reference's raw
+items through its item map), and the two steps collapse into a single
+small matrix per side; a run is its inputs and those two maps. Each run
+can anchor the next one (reference chaining), so the seed run is not a
+special case forever.
 
 Alignment is computed from items only; user embeddings ride along through
 their own composed map. Because the alignment is orthogonal, stabilization
@@ -20,23 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientOverlap
 from .lowrank import EmbeddingMatrix, SvdTransform, _join, apply_transform, low_rank_svd_trans
-from .procrustes import AlignmentMap, ortho_procrustes
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceSpace:
-    """Anchor for aligning future runs: a run's stabilized item embeddings."""
-
-    run_id: str
-    anchor_items: EmbeddingMatrix
-
-    def __post_init__(self) -> None:
-        if self.anchor_items.n == 0:
-            raise DimensionMismatch("reference anchor must be non-empty")
-
-    @property
-    def dimension(self) -> int:
-        return self.anchor_items.dim
+from .procrustes import ortho_procrustes
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +32,8 @@ class StabilizedRun:
     step times alignment). A stabilized side is apply_transform(raw, map),
     derived where used and never held, so every run of width e lands in the
     same e-wide standard space whatever its effective rank, which the
-    spectrum's length gives. alignment is the identity for the run that
-    seeds the space.
+    spectrum's length gives. A run is also the reference of the next one:
+    stabilize_run aligns onto its raw items through its item map.
     """
 
     run_id: str
@@ -58,7 +43,6 @@ class StabilizedRun:
     item_map: np.ndarray
     user_map: np.ndarray
     spectrum: np.ndarray
-    alignment: AlignmentMap
 
     @property
     def effective_rank(self) -> int:
@@ -68,11 +52,6 @@ class StabilizedRun:
     def dim(self) -> int:
         return self.item_map.shape[0]
 
-    @property
-    def reference(self) -> ReferenceSpace:
-        """Next run's anchor: raw_items through item_map, made on each access."""
-        return ReferenceSpace(self.run_id, apply_transform(self.raw_items, self.item_map))
-
 
 def _build_run(
     run_id: str,
@@ -80,17 +59,16 @@ def _build_run(
     items: EmbeddingMatrix,
     users: EmbeddingMatrix,
     transform: SvdTransform,
-    alignment: AlignmentMap,
+    alignment: np.ndarray,
 ) -> StabilizedRun:
     return StabilizedRun(
         run_id=run_id,
         reference_run_id=reference_run_id,
         raw_items=items,
         raw_users=users,
-        item_map=transform.item_map @ alignment.matrix,
-        user_map=transform.user_map @ alignment.matrix,
+        item_map=transform.item_map @ alignment,
+        user_map=transform.user_map @ alignment,
         spectrum=transform.spectrum,
-        alignment=alignment,
     )
 
 
@@ -99,48 +77,48 @@ def init_reference(items: EmbeddingMatrix, users: EmbeddingMatrix, run_id: str) 
 
     The run's own SVD space is the standard space, so its alignment is the
     identity and the composed maps equal the SVD maps, e x e even when dead
-    directions leave zero columns. Its `reference` anchors later runs.
+    directions leave zero columns. The run anchors later runs.
     """
     transform = low_rank_svd_trans(items, users)
-    identity = AlignmentMap(np.eye(items.dim))
-    return _build_run(run_id, run_id, items, users, transform, identity)
+    return _build_run(run_id, run_id, items, users, transform, np.eye(items.dim))
 
 
 def stabilize_run(
     items: EmbeddingMatrix,
     users: EmbeddingMatrix,
-    ref: ReferenceSpace,
+    reference: StabilizedRun,
     run_id: str,
 ) -> StabilizedRun:
     """Map one run's embeddings into the reference's standard space.
 
     The run is SVD-transformed, then the rows whose item ids also appear in
-    the anchor are Procrustes-aligned onto the matching anchor rows. Items
-    absent from the reference are transformed but never influence the
-    alignment. The run's `reference` is the next (rolling) anchor.
+    the anchor, the reference's raw items through its item map, are
+    Procrustes-aligned onto the matching anchor rows. Items absent from the
+    reference are transformed but never influence the alignment. The
+    returned run anchors the next (rolling) one.
 
     Raises InsufficientOverlap when fewer than max(e, 10) item ids are
     shared with the anchor, DimensionMismatch when the run's width differs
-    from the reference's.
+    from the anchor's.
     """
-    if items.dim != ref.dimension:
-        raise DimensionMismatch(
-            f"run width {items.dim} != reference dimension {ref.dimension}"
-        )
+    width = reference.item_map.shape[1]
+    if items.dim != width:
+        raise DimensionMismatch(f"run width {items.dim} != reference dimension {width}")
     transform = low_rank_svd_trans(items, users)
 
-    shared, shared_items, target = _join(items, ref.anchor_items)
+    anchor = apply_transform(reference.raw_items, reference.item_map)
+    shared, shared_items, target = _join(items, anchor)
     # The orthogonal map is unique only when the e x e cross-covariance has
     # full rank (Schoenemann, Psychometrika 1966), which fewer than e shared
     # rows cannot give; 10 keeps narrow runs off a handful of items.
     need = max(items.dim, 10)
     if shared.size < need:
         raise InsufficientOverlap(
-            f"{shared.size} shared item ids with reference {ref.run_id!r}, "
+            f"{shared.size} shared item ids with reference {reference.run_id!r}, "
             f"need at least {need}"
         )
     alignment = ortho_procrustes(shared_items @ transform.item_map, target)
-    return _build_run(run_id, ref.run_id, items, users, transform, alignment)
+    return _build_run(run_id, reference.run_id, items, users, transform, alignment)
 
 
 def score_product_error(

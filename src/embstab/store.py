@@ -33,10 +33,12 @@ Transform file (.olt), all little-endian:
     digest    32 bytes sha256 of all preceding bytes
 
 Runs live under `runs/<run_id>/` with `items.emb`, `users.emb` (stabilized
-embeddings: the raw inputs through the maps, by the writer call of `apply`;
-items.emb doubles as the chaining anchor), `raw_items.emb`, `raw_users.emb`
-(verbatim inputs), `mT.olt`, `mW.olt` (composed maps, float64) and `meta`,
-a JSON RunRecord listing each file's sha256, which every read checks first.
+embeddings: the raw inputs through the maps, by the writer call of `apply`,
+written for consumers and read by no command), `raw_items.emb`,
+`raw_users.emb` (verbatim inputs), `mT.olt`, `mW.olt` (composed maps,
+float64) and `meta`, a JSON RunRecord listing each file's sha256, which
+every read checks first. load_run reads a run back from its raw pair, its
+maps and the spectrum in meta; the chaining anchor is derived from them.
 
 The `latest_ref` pointer file at the store root names the current reference
 run. A commit is one hold of one advisory lock, `save.lock` at the root; a
@@ -69,7 +71,7 @@ import numpy as np
 
 from .errors import CorruptFile, InvalidRunId, NonFinite, StaleReference, UnknownRun
 from .lowrank import EmbeddingMatrix, Role, _Behind, _readonly, rowwise_matmul
-from .stabilizer import ReferenceSpace, StabilizedRun
+from .stabilizer import StabilizedRun
 
 EMB_MAGIC = b"OLRE"
 TRF_MAGIC = b"OLRT"
@@ -473,16 +475,19 @@ class RunStore:
                 for _ in chunks:
                     pass
 
-    def _load_pair(self, run_id: str, prefix: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
+    def load_run(self, run_id: str) -> StabilizedRun:
+        """A stored run as save_run was given it: its raw pair, its two maps
+        and the spectrum from its meta, each file read through _listed."""
         record = self.load_record(run_id)
-        names = (f"{prefix}items.emb", f"{prefix}users.emb")
-        return tuple(read_embeddings(self._listed(record, name)) for name in names)
-
-    def load_stabilized(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-        return self._load_pair(run_id, "")
-
-    def load_raw(self, run_id: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-        return self._load_pair(run_id, "raw_")
+        return StabilizedRun(
+            run_id=record.run_id,
+            reference_run_id=record.reference_run_id,
+            raw_items=read_embeddings(self._listed(record, "raw_items.emb")),
+            raw_users=read_embeddings(self._listed(record, "raw_users.emb")),
+            item_map=read_transform(self._listed(record, "mT.olt")),
+            user_map=read_transform(self._listed(record, "mW.olt")),
+            spectrum=np.array(record.spectrum, dtype=np.float64),
+        )
 
     def latest_reference_id(self) -> str | None:
         if not self.latest_ref_path.exists():
@@ -490,12 +495,11 @@ class RunStore:
         text = self.latest_ref_path.read_text().strip()
         return text or None
 
-    def reference_space(self, run_id: str | None = None) -> ReferenceSpace:
-        """Load the chaining anchor for the given run, or the latest one."""
+    def reference_space(self, run_id: str | None = None) -> StabilizedRun:
+        """The run that anchors the next stabilize_run: `run_id`, or the
+        latest reference."""
         if run_id is None:
             run_id = self.latest_reference_id()
             if run_id is None:
                 raise UnknownRun("store has no reference yet; run init first")
-        record = self.load_record(run_id)
-        anchor = read_embeddings(self._listed(record, "items.emb"))
-        return ReferenceSpace(run_id=record.run_id, anchor_items=anchor)
+        return self.load_run(run_id)

@@ -1,12 +1,26 @@
 import json
 import os
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import embstab
-from embstab import EmbeddingMatrix, apply_transform, init_reference, stabilize_run
+import embstab.stabilizer
+from embstab import (
+    EmbeddingMatrix,
+    RunRecord,
+    apply_transform,
+    init_reference,
+    low_rank_svd_trans,
+    ortho_procrustes,
+    stabilize_run,
+    write_embeddings,
+    write_transform,
+)
+from embstab.errors import RankTruncationWarning
 
 
 @pytest.fixture
@@ -112,13 +126,61 @@ def stabilized_pair(run):
     return apply_transform(run.raw_items, run.item_map), apply_transform(run.raw_users, run.user_map)
 
 
+def write_narrow_truncated_store(store, items, users):
+    """A store as older releases wrote it after `init --rank-policy truncate`
+    of a rank-deficient run: e x kept maps, a kept-wide anchor, meta.dim
+    equal to kept and the policy in meta."""
+    with pytest.warns(RankTruncationWarning):
+        tr = low_rank_svd_trans(items, users)
+    kept = tr.spectrum.size
+    item_map, user_map = tr.item_map[:, :kept], tr.user_map[:, :kept]
+    run_dir = store / "runs" / "run0"
+    run_dir.mkdir(parents=True)
+    files = {
+        "items.emb": write_embeddings(apply_transform(items, item_map), run_dir / "items.emb"),
+        "users.emb": write_embeddings(apply_transform(users, user_map), run_dir / "users.emb"),
+        "raw_items.emb": write_embeddings(items, run_dir / "raw_items.emb"),
+        "raw_users.emb": write_embeddings(users, run_dir / "raw_users.emb"),
+        "mT.olt": write_transform(item_map, run_dir / "mT.olt"),
+        "mW.olt": write_transform(user_map, run_dir / "mW.olt"),
+    }
+    record = RunRecord(
+        run_id="run0",
+        reference_run_id="run0",
+        created_at="2025-01-01T00:00:00+00:00",
+        dim=kept,
+        effective_rank=kept,
+        spectrum=tuple(float(v) for v in tr.spectrum),
+        files=files,
+    )
+    meta = {**asdict(record), "rank_policy": "truncate"}
+    (run_dir / "meta").write_text(json.dumps(meta, indent=2) + "\n")
+    (store / "latest_ref").write_text("run0\n")
+    return record
+
+
+@contextmanager
+def alignment_maps():
+    """Every alignment map that stabilize_run makes inside the block, in
+    order: a spy on the ortho_procrustes that embstab.stabilizer calls."""
+    maps = []
+
+    def spy(a, b):
+        maps.append(ortho_procrustes(a, b))
+        return maps[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embstab.stabilizer, "ortho_procrustes", spy)
+        yield maps
+
+
 def chain_gaps(run0, run1, run2):
     """Stabilize the (items, users) pair run2 against run0's reference, once
     directly and once through run1's chained reference; returns the
     Frobenius gaps between the two outputs as (items, users)."""
-    ref0 = init_reference(*run0, "chain-seed").reference
+    ref0 = init_reference(*run0, "chain-seed")
     direct = stabilize_run(*run2, ref0, "chain-direct")
-    ref1 = stabilize_run(*run1, ref0, "chain-intermediate").reference
+    ref1 = stabilize_run(*run1, ref0, "chain-intermediate")
     chained = stabilize_run(*run2, ref1, "chain-chained")
     pairs = zip(stabilized_pair(direct), stabilized_pair(chained))
     return tuple(

@@ -27,7 +27,13 @@ from embstab import (
     write_transform,
 )
 from embstab.metrics import rbo
-from conftest import chain_gaps, random_orthogonal, random_pair, stabilized_pair
+from conftest import (
+    alignment_maps,
+    chain_gaps,
+    random_orthogonal,
+    random_pair,
+    stabilized_pair,
+)
 from test_metrics import rbo_bruteforce
 
 
@@ -50,7 +56,6 @@ def test_c1_losslessness_of_stabilized_score_product():
             seed = int(gen.integers(0, 2**31))
             items, users = random_pair(n, m, dim, seed=seed)
             run0 = init_reference(items, users, "r0")
-            ref = run0.reference
             raw0 = items.vectors @ users.vectors.T
             stab0 = stabilized_pair(run0)[0].vectors @ stabilized_pair(run0)[1].vectors.T
             assert np.linalg.norm(stab0 - raw0) <= 1e-10 * np.linalg.norm(raw0)
@@ -60,7 +65,7 @@ def test_c1_losslessness_of_stabilized_score_product():
             noise *= 0.01 * np.linalg.norm(items.vectors) / np.linalg.norm(noise)
             items1 = EmbeddingMatrix.of_items(items.vectors @ g + noise, ids=items.ids)
             users1 = EmbeddingMatrix.of_users(users.vectors @ g, ids=users.ids)
-            run1 = stabilize_run(items1, users1, ref, "r1")
+            run1 = stabilize_run(items1, users1, run0, "r1")
             raw1 = items1.vectors @ users1.vectors.T
             stab1 = stabilized_pair(run1)[0].vectors @ stabilized_pair(run1)[1].vectors.T
             assert np.linalg.norm(stab1 - raw1) <= 1e-10 * np.linalg.norm(raw1)
@@ -100,8 +105,8 @@ def test_c3_procrustes_recovery_and_stationarity():
         dim = int(gen.integers(2, 17))
         a = gen.standard_normal((int(gen.integers(dim + 5, 60)), dim))
         g = random_orthogonal(dim, seed=5000 + trial)
-        amap = ortho_procrustes(a, a @ g)
-        assert np.linalg.norm(amap.matrix - g) < 1e-10
+        r = ortho_procrustes(a, a @ g)
+        assert np.linalg.norm(r - g) < 1e-10
 
     # First-order stationarity at e <= 4: no orthogonal competitor beats the
     # solution, neither globally random nor local moves r expm(eps K).
@@ -109,7 +114,7 @@ def test_c3_procrustes_recovery_and_stationarity():
         gen = np.random.default_rng(600 + dim)
         a = gen.standard_normal((25, dim))
         b = a @ random_orthogonal(dim, seed=dim) + 0.1 * gen.standard_normal((25, dim))
-        r = ortho_procrustes(a, b).matrix
+        r = ortho_procrustes(a, b)
         best = np.linalg.norm(a @ r - b)
         for k in range(1000):
             omega = random_orthogonal(dim, seed=7000 * dim + k)
@@ -135,12 +140,13 @@ def test_c4_alignment_orthogonality_everywhere():
     for seed in range(10):
         dim = 8
         items, users = random_pair(80, 60, dim, seed=seed)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         items2, users2 = random_pair(80, 60, dim, seed=seed + 50)
-        run = stabilize_run(items2, users2, ref, "r1")
-        maps.append((dim, run.alignment))
-    for dim, amap in maps:
-        gap = np.linalg.norm(amap.matrix.T @ amap.matrix - np.eye(dim))
+        with alignment_maps() as made:
+            stabilize_run(items2, users2, ref, "r1")
+        maps.append((dim, made[0]))
+    for dim, r in maps:
+        gap = np.linalg.norm(r.T @ r - np.eye(dim))
         assert gap <= 1e-12 * dim
     announce(4, f"orthogonality of {len(maps)} alignment maps")
 
@@ -165,8 +171,7 @@ def test_c5_table_pattern_on_synthetic_runs():
         items, users = gen_ground_truth(cfg)
         items2, users2 = gen_retrained_run(items, users, cfg)
         run0 = init_reference(items, users, "r0")
-        ref = run0.reference
-        run1 = stabilize_run(items2, users2, ref, "r1")
+        run1 = stabilize_run(items2, users2, run0, "r1")
         raw_reports.append(compare_runs(items, users, items2, users2, top_k=100, p=0.9))
         stab_reports.append(
             compare_runs(
@@ -303,10 +308,9 @@ def test_c8_persistence_round_trips_and_crash_safety(tmp_path):
     store = RunStore(tmp_path / "store")
     items, users = random_pair(40, 30, 4, seed=0)
     run0 = init_reference(items, users, "run0")
-    ref = run0.reference
     store.save_run(run0, advance=True)
     items1, users1 = random_pair(40, 30, 4, seed=1)
-    run1 = stabilize_run(items1, users1, ref, "run1")
+    run1 = stabilize_run(items1, users1, run0, "run1")
 
     with pytest.MonkeyPatch.context() as mp:
         replace = os.replace

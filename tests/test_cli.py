@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +16,7 @@ import pytest
 from embstab import (
     EmbeddingMatrix,
     Role,
-    RunRecord,
     apply_transform,
-    low_rank_svd_trans,
     read_embeddings,
     read_transform,
     write_embeddings,
@@ -37,6 +34,7 @@ from embstab.errors import (
 from embstab.store import write_embedding_chunks
 from conftest import (
     DAMAGED_FILE, MALFORMED_META, child_env, random_pair, rank_r_pair, rel_fro,
+    write_narrow_truncated_store,
 )
 
 
@@ -474,52 +472,19 @@ def rank_7_of_8_items(sim_dir):
     return EmbeddingMatrix.of_items(vecs, ids=base.ids)
 
 
-def _write_narrow_truncated_store(store, items, users):
-    """A store as older releases wrote it after `init --rank-policy truncate`
-    of a rank-deficient run: e x kept maps, a kept-wide anchor, meta.dim
-    equal to kept and the policy in meta."""
-    with pytest.warns(RankTruncationWarning):
-        tr = low_rank_svd_trans(items, users)
-    kept = tr.spectrum.size
-    item_map, user_map = tr.item_map[:, :kept], tr.user_map[:, :kept]
-    run_dir = store / "runs" / "run0"
-    run_dir.mkdir(parents=True)
-    files = {
-        "items.emb": write_embeddings(apply_transform(items, item_map), run_dir / "items.emb"),
-        "users.emb": write_embeddings(apply_transform(users, user_map), run_dir / "users.emb"),
-        "raw_items.emb": write_embeddings(items, run_dir / "raw_items.emb"),
-        "raw_users.emb": write_embeddings(users, run_dir / "raw_users.emb"),
-        "mT.olt": write_transform(item_map, run_dir / "mT.olt"),
-        "mW.olt": write_transform(user_map, run_dir / "mW.olt"),
-    }
-    record = RunRecord(
-        run_id="run0",
-        reference_run_id="run0",
-        created_at="2025-01-01T00:00:00+00:00",
-        dim=kept,
-        effective_rank=kept,
-        spectrum=tuple(float(v) for v in tr.spectrum),
-        files=files,
-    )
-    meta = {**asdict(record), "rank_policy": "truncate"}
-    (run_dir / "meta").write_text(json.dumps(meta, indent=2) + "\n")
-    (store / "latest_ref").write_text("run0\n")
-    return record
-
-
 class TestNarrowTruncatedStore:
     @pytest.fixture
     def old_store(self, tmp_path, sim_dir):
         users = read_embeddings(sim_dir / "run_000.users.emb")
         store = tmp_path / "old"
-        return store, _write_narrow_truncated_store(store, rank_7_of_8_items(sim_dir), users)
+        return store, write_narrow_truncated_store(store, rank_7_of_8_items(sim_dir), users)
 
     def test_record_loads_and_validates(self, old_store):
         root, record = old_store
         store = embstab.store.RunStore(root)
         assert store.load_record("run0") == record
         store.validate_record(record)
-        assert store.reference_space().dimension == 7
+        assert store.reference_space().item_map.shape[1] == 7
         assert embstab.store.read_transform(root / "runs" / "run0" / "mT.olt").shape == (8, 7)
 
     @pytest.mark.parametrize("raw", [False, True])
@@ -682,11 +647,19 @@ def test_pinned_reference_with_anchor_of_another_run_exits_3(
     assert not (store_with_two_runs / "runs" / "run2").exists()
 
 
-# Each stored .emb file of a run, and a command that reads it.
+# Stored files of a run, each with a command that reads it. Every command
+# that reads a run reads these four through RunStore.load_run; none reads
+# items.emb or users.emb, since stabilize derives its anchor and validate
+# its stabilized pair from the raw pair and the maps.
 READERS = [
-    ("items.emb", "stabilize"),
-    ("items.emb", "validate"),
-    ("users.emb", "validate"),
+    ("raw_items.emb", "stabilize"),
+    ("raw_users.emb", "stabilize"),
+    ("mT.olt", "stabilize"),
+    ("mW.olt", "stabilize"),
+    ("raw_items.emb", "validate"),
+    ("raw_users.emb", "validate"),
+    ("mT.olt", "validate"),
+    ("mW.olt", "validate"),
     ("raw_items.emb", "validate --raw"),
     ("raw_users.emb", "validate --raw"),
 ]
@@ -732,6 +705,28 @@ def test_damaged_run_file_exits_3(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+def test_no_command_reads_the_stored_stabilized_pair(tmp_path, sim_dir, store_with_two_runs):
+    # The same reports and the same run from a copy of the store that has
+    # lost every items.emb and users.emb.
+    intact = store_with_two_runs
+    bare = tmp_path / "bare"
+    shutil.copytree(intact, bare)
+    for path in [*bare.glob("runs/*/items.emb"), *bare.glob("runs/*/users.emb")]:
+        path.unlink()
+    for store in (intact, bare):
+        for raw in ([], ["--raw"]):
+            out = tmp_path / f"report-{store.name}{''.join(raw)}"
+            assert main(_reading_argv("validate", store, sim_dir, out) + raw) == 0
+        assert main(_reading_argv("stabilize", store, sim_dir, None)) == 0
+    for raw in ("", "--raw"):
+        for name in ("report.txt", "report.json"):
+            expected = (tmp_path / f"report-{intact.name}{raw}" / name).read_bytes()
+            assert (tmp_path / f"report-bare{raw}" / name).read_bytes() == expected
+    for name in ("items.emb", "users.emb", "raw_items.emb", "raw_users.emb", "mT.olt", "mW.olt"):
+        expected = (intact / "runs" / "run2" / name).read_bytes()
+        assert (bare / "runs" / "run2" / name).read_bytes() == expected, name
 
 
 def test_truncated_stabilize_shows_each_warning_on_one_line(tmp_path, sim_dir):

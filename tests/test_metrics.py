@@ -326,8 +326,7 @@ class TestRankCorrelationReport:
         users2 = EmbeddingMatrix.of_users(users.vectors @ g + noise, ids=users.ids)
 
         run0 = init_reference(items, users, "r0")
-        ref = run0.reference
-        run1 = stabilize_run(items2, users2, ref, "r1")
+        run1 = stabilize_run(items2, users2, run0, "r1")
         stabilized, _ = rank_correlation_report(
             *stabilized_pair(run0), stabilized_pair(run1)[1]
         )

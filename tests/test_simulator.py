@@ -235,9 +235,8 @@ class TestGenRetrainedRun:
                 )
                 items, users = gen_ground_truth(c)
                 run0 = init_reference(items, users, "r0")
-                ref = run0.reference
                 items2, users2 = gen_retrained_run(items, users, c)
-                run1 = stabilize_run(items2, users2, ref, "r1")
+                run1 = stabilize_run(items2, users2, run0, "r1")
                 curve.append(
                     mean_same_id_cosine(stabilized_pair(run0)[0], stabilized_pair(run1)[0])[0]
                 )

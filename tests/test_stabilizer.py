@@ -13,8 +13,15 @@ from embstab import (
     stabilize_run,
 )
 from embstab.errors import DimensionMismatch, InsufficientOverlap
-from embstab.stabilizer import score_product_error
-from conftest import chain_gaps, random_orthogonal, random_pair, rel_fro, stabilized_pair
+from embstab.stabilizer import StabilizedRun, score_product_error
+from conftest import (
+    alignment_maps,
+    chain_gaps,
+    random_orthogonal,
+    random_pair,
+    rel_fro,
+    stabilized_pair,
+)
 
 
 def stabilized_product_error(run, items, users):
@@ -28,11 +35,10 @@ class TestInitReference:
         items = EmbeddingMatrix.of_items(np.eye(2))
         users = EmbeddingMatrix.of_users(np.eye(2))
         run = init_reference(items, users, "seed-run")
-        ref = run.reference
         np.testing.assert_allclose(run.spectrum, [1.0, 1.0], atol=1e-12)
         product = stabilized_pair(run)[0].vectors @ stabilized_pair(run)[1].vectors.T
         np.testing.assert_allclose(product, np.eye(2), atol=1e-10)
-        assert ref.run_id == "seed-run"
+        assert run.run_id == "seed-run"
         assert run.reference_run_id == "seed-run"
 
     def test_product_preserved(self):
@@ -43,30 +49,31 @@ class TestInitReference:
     def test_anchor_gram_is_diagonal_spectrum(self):
         items, users = random_pair(50, 40, 8, seed=2)
         run = init_reference(items, users, "r0")
-        ref = run.reference
-        gram = ref.anchor_items.vectors.T @ ref.anchor_items.vectors
+        anchor = stabilized_pair(run)[0]
+        gram = anchor.vectors.T @ anchor.vectors
         np.testing.assert_allclose(np.diag(gram), run.spectrum, rtol=1e-8)
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-8 * run.spectrum[0]
 
     def test_maps_equal_svd_maps(self):
         items, users = random_pair(30, 25, 4, seed=3)
-        run = init_reference(items, users, "r0")
+        with alignment_maps() as maps:
+            run = init_reference(items, users, "r0")
         tr = low_rank_svd_trans(items, users)
         assert np.array_equal(run.item_map, tr.item_map)
         assert np.array_equal(run.user_map, tr.user_map)
-        assert np.array_equal(run.alignment.matrix, np.eye(4))
+        assert maps == []  # the seed's alignment is the identity; none is solved
 
 
 class TestStabilizeRun:
     def test_same_inputs_reproduce_reference(self):
         items, users = random_pair(50, 40, 8, seed=4)
         run0 = init_reference(items, users, "r0")
-        ref = run0.reference
-        run1 = stabilize_run(items, users, ref, "r1")
+        with alignment_maps() as maps:
+            run1 = stabilize_run(items, users, run0, "r1")
         assert rel_fro(stabilized_pair(run1)[0].vectors, stabilized_pair(run0)[0].vectors) < 1e-10
         assert rel_fro(stabilized_pair(run1)[1].vectors, stabilized_pair(run0)[1].vectors) < 1e-10
-        assert np.linalg.norm(run1.alignment.matrix - np.eye(8)) < 1e-8
+        assert np.linalg.norm(maps[0] - np.eye(8)) < 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_planted_orthogonal_retraining_recovered(self, seed):
@@ -75,8 +82,7 @@ class TestStabilizeRun:
         items2 = EmbeddingMatrix.of_items(items.vectors @ g, ids=items.ids)
         users2 = EmbeddingMatrix.of_users(users.vectors @ g, ids=users.ids)
         run0 = init_reference(items, users, "r0")
-        ref = run0.reference
-        run1 = stabilize_run(items2, users2, ref, "r1")
+        run1 = stabilize_run(items2, users2, run0, "r1")
         # Identical score space means identical standard-space coordinates.
         assert np.linalg.norm(
             stabilized_pair(run1)[0].vectors - stabilized_pair(run0)[0].vectors
@@ -99,8 +105,7 @@ class TestStabilizeRun:
         users2 = EmbeddingMatrix.of_users(users.vectors @ g + noise_w, ids=users.ids)
 
         run0 = init_reference(items, users, "r0")
-        ref = run0.reference
-        run1 = stabilize_run(items2, users2, ref, "r1")
+        run1 = stabilize_run(items2, users2, run0, "r1")
         stabilized_cos, _ = mean_same_id_cosine(
             stabilized_pair(run0)[0], stabilized_pair(run1)[0]
         )
@@ -111,30 +116,38 @@ class TestStabilizeRun:
     def test_product_preserved_after_alignment(self):
         items, users = random_pair(80, 70, 16, seed=12)
         items2, users2 = random_pair(80, 70, 16, seed=13)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         run1 = stabilize_run(items2, users2, ref, "r1")
         assert stabilized_product_error(run1, items2, users2) < 1e-10
 
     def test_anchor_rows_outside_intersection_never_influence_alignment(self):
-        from embstab import ReferenceSpace
-
         items, users = random_pair(100, 80, 8, seed=14)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         g = random_orthogonal(8, seed=15)
         items2 = EmbeddingMatrix.of_items(items.vectors @ g, ids=items.ids)
         users2 = EmbeddingMatrix.of_users(users.vectors @ g, ids=users.ids)
-        run_a = stabilize_run(items2, users2, ref, "ra")
 
+        # The same anchor plus 40 rows under ids the run never holds, as a
+        # reference whose maps are the identity, so its raw items are its anchor.
+        anchor = stabilized_pair(ref)[0]
         extra = np.random.default_rng(16).standard_normal((40, 8)) * 10.0
         padded_anchor = EmbeddingMatrix.of_items(
-            np.vstack([ref.anchor_items.vectors, extra]),
-            ids=np.concatenate(
-                [ref.anchor_items.ids, np.arange(5000, 5040, dtype=np.uint64)]
-            ),
+            np.vstack([anchor.vectors, extra]),
+            ids=np.concatenate([anchor.ids, np.arange(5000, 5040, dtype=np.uint64)]),
         )
-        ref_padded = ReferenceSpace(run_id="r0", anchor_items=padded_anchor)
-        run_b = stabilize_run(items2, users2, ref_padded, "rb")
-        np.testing.assert_array_equal(run_a.alignment.matrix, run_b.alignment.matrix)
+        ref_padded = StabilizedRun(
+            run_id="r0",
+            reference_run_id="r0",
+            raw_items=padded_anchor,
+            raw_users=stabilized_pair(ref)[1],
+            item_map=np.eye(8),
+            user_map=np.eye(8),
+            spectrum=ref.spectrum,
+        )
+        with alignment_maps() as maps:
+            stabilize_run(items2, users2, ref, "ra")
+            stabilize_run(items2, users2, ref_padded, "rb")
+        np.testing.assert_array_equal(maps[0], maps[1])
 
     def test_vocab_drift_still_aligns_shared_items(self):
         from embstab import Rotation, SimConfig, gen_ground_truth, gen_retrained_run
@@ -149,9 +162,8 @@ class TestStabilizeRun:
         )
         items, users = gen_ground_truth(cfg)
         run0 = init_reference(items, users, "r0")
-        ref = run0.reference
         items2, users2 = gen_retrained_run(items, users, cfg)
-        run1 = stabilize_run(items2, users2, ref, "r1")
+        run1 = stabilize_run(items2, users2, run0, "r1")
         cos, n = mean_same_id_cosine(stabilized_pair(run0)[0], stabilized_pair(run1)[0])
         assert n == 240  # 20 percent of 300 items replaced
         assert cos > 0.99
@@ -160,15 +172,16 @@ class TestStabilizeRun:
         # Re-mixing user rows with an orthogonal matrix on the left keeps
         # W^T W fixed, so the computed maps and alignment cannot change.
         items, users = random_pair(60, 40, 8, seed=17)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         items2, users2 = random_pair(60, 40, 8, seed=18)
 
         mix = random_orthogonal(40, seed=19)
         users2_mixed = EmbeddingMatrix.of_users(mix @ users2.vectors, ids=users2.ids)
 
-        run_a = stabilize_run(items2, users2, ref, "ra")
-        run_b = stabilize_run(items2, users2_mixed, ref, "rb")
-        assert np.linalg.norm(run_a.alignment.matrix - run_b.alignment.matrix) < 1e-9
+        with alignment_maps() as maps:
+            run_a = stabilize_run(items2, users2, ref, "ra")
+            run_b = stabilize_run(items2, users2_mixed, ref, "rb")
+        assert np.linalg.norm(maps[0] - maps[1]) < 1e-9
         assert rel_fro(stabilized_pair(run_b)[0].vectors, stabilized_pair(run_a)[0].vectors) < 1e-9
         # Stabilized users are the mixed rows pushed through the same map.
         assert rel_fro(
@@ -177,37 +190,39 @@ class TestStabilizeRun:
 
     def test_user_row_permutation_does_not_change_alignment(self):
         items, users = random_pair(60, 40, 8, seed=20)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         items2, users2 = random_pair(60, 40, 8, seed=21)
         perm = np.random.default_rng(22).permutation(40)
         users2_perm = EmbeddingMatrix.of_users(
             users2.vectors[perm], ids=users2.ids[perm]
         )
-        run_a = stabilize_run(items2, users2, ref, "ra")
-        run_b = stabilize_run(items2, users2_perm, ref, "rb")
-        assert np.linalg.norm(run_a.alignment.matrix - run_b.alignment.matrix) < 1e-9
+        with alignment_maps() as maps:
+            stabilize_run(items2, users2, ref, "ra")
+            stabilize_run(items2, users2_perm, ref, "rb")
+        assert np.linalg.norm(maps[0] - maps[1]) < 1e-9
 
     def test_idempotent_against_own_output(self):
         items, users = random_pair(50, 40, 8, seed=23)
-        ref0 = init_reference(items, users, "r0").reference
+        ref0 = init_reference(items, users, "r0")
         run1 = stabilize_run(items, users, ref0, "r1")
-        ref1 = run1.reference
-        run2 = stabilize_run(items, users, ref1, "r2")
-        assert np.linalg.norm(run2.alignment.matrix - np.eye(8)) < 1e-8
+        with alignment_maps() as maps:
+            run2 = stabilize_run(items, users, run1, "r2")
+        assert np.linalg.norm(maps[0] - np.eye(8)) < 1e-8
         assert rel_fro(stabilized_pair(run2)[0].vectors, stabilized_pair(run1)[0].vectors) < 1e-10
 
     def test_composed_map_is_svd_map_times_alignment(self):
         items, users = random_pair(50, 40, 8, seed=24)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         items2, users2 = random_pair(50, 40, 8, seed=25)
-        run = stabilize_run(items2, users2, ref, "r1")
+        with alignment_maps() as maps:
+            run = stabilize_run(items2, users2, ref, "r1")
         tr = low_rank_svd_trans(items2, users2)
-        np.testing.assert_array_equal(run.item_map, tr.item_map @ run.alignment.matrix)
-        np.testing.assert_array_equal(run.user_map, tr.user_map @ run.alignment.matrix)
+        np.testing.assert_array_equal(run.item_map, tr.item_map @ maps[0])
+        np.testing.assert_array_equal(run.user_map, tr.user_map @ maps[0])
 
     def test_insufficient_overlap(self):
         items, users = random_pair(20, 15, 4, seed=26)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         items2 = EmbeddingMatrix.of_items(
             items.vectors, ids=np.arange(500, 520, dtype=np.uint64)
         )
@@ -220,7 +235,7 @@ class TestStabilizeRun:
         # items carry ids the reference never saw.
         need = max(dim, 10)
         items, users = random_pair(40, 30, dim, seed=dim)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         for shared in (need - 1, need):
             ids = np.concatenate([
                 np.arange(shared, dtype=np.uint64),
@@ -231,19 +246,20 @@ class TestStabilizeRun:
                 with pytest.raises(InsufficientOverlap, match=f"{shared} shared item ids"):
                     stabilize_run(moved, users, ref, "r1")
             else:
-                run = stabilize_run(moved, users, ref, "r1")
-                assert run.alignment.matrix.shape == (dim, dim)
+                with alignment_maps() as maps:
+                    stabilize_run(moved, users, ref, "r1")
+                assert maps[0].shape == (dim, dim)
 
     def test_dimension_mismatch_with_reference(self):
         items, users = random_pair(30, 25, 4, seed=27)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
         items2, users2 = random_pair(30, 25, 6, seed=28)
         with pytest.raises(DimensionMismatch):
             stabilize_run(items2, users2, ref, "r1")
 
     def test_truncated_run_lands_in_full_reference_space(self):
         items, users = random_pair(40, 30, 6, seed=29)
-        ref = init_reference(items, users, "r0").reference
+        ref = init_reference(items, users, "r0")
 
         vecs = np.random.default_rng(30).standard_normal((40, 6))
         vecs[:, 5] = vecs[:, 0]  # rank 5 of 6
@@ -291,20 +307,18 @@ class TestFixedWidthChain:
         dead = 1 + int(dead_fraction * (dim - 2))  # 1 .. dim - 1
         item_ids = np.arange(40, dtype=np.uint64)
         user_ids = np.arange(30, dtype=np.uint64)
-        ref = None
+        run = None
         for step, step_dead in enumerate([dead, 0, dead, 0]):
             items, users = _chain_step_input(
                 gen, item_ids, user_ids, dim, dtype, step_dead, how
             )
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), alignment_maps() as maps:
                 # Truncation and the degenerate alignment it implies warn.
                 warnings.simplefilter("ignore")
-                if ref is None:
+                if run is None:
                     run = init_reference(items, users, f"r{step}")
-                    ref = run.reference
                 else:
-                    run = stabilize_run(items, users, ref, f"r{step}")
-                    ref = run.reference
+                    run = stabilize_run(items, users, run, f"r{step}")
             assert run.dim == dim
             assert run.item_map.shape == run.user_map.shape == (dim, dim)
             assert stabilized_pair(run)[0].dim == stabilized_pair(run)[1].dim == dim
@@ -313,8 +327,9 @@ class TestFixedWidthChain:
             w = users.vectors.astype(np.float64)
             rebuilt = (t @ run.item_map) @ (w @ run.user_map).T
             assert rel_fro(rebuilt, t @ w.T) <= 1e-10
-            r = run.alignment.matrix
-            assert np.linalg.norm(r.T @ r - np.eye(dim)) <= 1e-12 * dim
+            assert len(maps) == (step > 0)  # the seed's alignment is the identity
+            for r in maps:
+                assert np.linalg.norm(r.T @ r - np.eye(dim)) <= 1e-12 * dim
 
 
 class TestScoreProductError:

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +27,7 @@ from embstab import (
     Role,
     RunRecord,
     RunStore,
+    apply_transform,
     init_reference,
     read_embeddings,
     read_transform,
@@ -43,8 +45,15 @@ from embstab.errors import (
     UnknownRun,
 )
 from embstab.cli import main
+from embstab.stabilizer import StabilizedRun
 from embstab.store import write_embedding_chunks
-from conftest import DAMAGED_FILE, MALFORMED_META, child_env, random_pair
+from conftest import (
+    DAMAGED_FILE,
+    MALFORMED_META,
+    child_env,
+    random_pair,
+    write_narrow_truncated_store,
+)
 
 
 def sample_emb(n=5, dim=3, dtype=np.float64, role=Role.ITEM, seed=0):
@@ -430,17 +439,34 @@ class TestTransformFormat:
         assert np.array_equal(read_transform(path), m)
 
 
+def assert_same_run(loaded, run):
+    """Every field of two StabilizedRuns agrees: arrays in dtype, shape and
+    bytes, an embedding side in role, ids and vectors."""
+    def same_array(a, b):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+    for field in fields(StabilizedRun):
+        a, b = getattr(loaded, field.name), getattr(run, field.name)
+        if isinstance(b, EmbeddingMatrix):
+            assert a.role == b.role, field.name
+            same_array(a.ids, b.ids)
+            same_array(a.vectors, b.vectors)
+        elif isinstance(b, np.ndarray):
+            same_array(np.asarray(a), b)
+        else:
+            assert a == b, field.name
+
+
 def make_store_with_runs(tmp_path, n_runs=2):
     store = RunStore(tmp_path / "store")
     items, users = random_pair(40, 30, 4, seed=0)
-    run0 = init_reference(items, users, "run0")
-    ref = run0.reference
-    records = [store.save_run(run0, advance=True)]
+    run = init_reference(items, users, "run0")
+    records = [store.save_run(run, advance=True)]
     for k in range(1, n_runs):
         items_k, users_k = random_pair(40, 30, 4, seed=k)
-        run_k = stabilize_run(items_k, users_k, ref, f"run{k}")
-        ref = run_k.reference
-        records.append(store.save_run(run_k, advance=True))
+        run = stabilize_run(items_k, users_k, run, f"run{k}")
+        records.append(store.save_run(run, advance=True))
     return store, records
 
 
@@ -489,17 +515,22 @@ class TestRunStore:
         assert record == records[0]
 
     def test_loaders(self, tmp_path):
-        store, _ = make_store_with_runs(tmp_path)
-        stab_items, stab_users = store.load_stabilized("run1")
-        raw_items, raw_users = store.load_raw("run1")
-        m_t = read_transform(store.run_dir("run1") / "mT.olt")
-        np.testing.assert_allclose(
-            stab_items.vectors,
-            raw_items.vectors @ m_t,
-            rtol=1e-12,
-            atol=1e-15,
-        )
-        assert stab_users.n == raw_users.n == 30
+        # load_run, and reference_space over it, return each saved run, the
+        # seed and two chained on it, field for field and bit for bit.
+        for dtype in (np.float32, np.float64):
+            store = RunStore(tmp_path / np.dtype(dtype).name)
+            runs = []
+            for k in range(3):
+                items, users = random_pair(40, 30, 4, seed=k, dtype=dtype)
+                if runs:
+                    runs.append(stabilize_run(items, users, runs[-1], f"run{k}"))
+                else:
+                    runs.append(init_reference(items, users, "run0"))
+                store.save_run(runs[-1], advance=True)
+            for run in runs:
+                assert_same_run(store.load_run(run.run_id), run)
+                assert_same_run(store.reference_space(run.run_id), run)
+            assert_same_run(store.reference_space(), runs[-1])
 
     def test_append_only(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
@@ -513,8 +544,8 @@ class TestRunStore:
         assert store.latest_reference_id() == "run1"
         assert store.list_runs() == ["run0", "run1"]
         # Both remain readable after the pointer moved.
-        store.load_stabilized("run0")
-        store.load_stabilized("run1")
+        store.load_run("run0")
+        store.load_run("run1")
 
     def test_reference_space_latest_and_pinned(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=2)
@@ -937,13 +968,12 @@ class TestRunStore:
         store = RunStore(tmp_path / "store")
         items, users = random_pair(40, 30, 4, seed=0)
         run0 = init_reference(items, users, "run0")
-        ref = run0.reference
         assert store.save_run(run0).effective_rank == 4
         vecs = items.vectors.copy()
         vecs[:, 3] = vecs[:, 0]  # rank 3 of 4
         items1 = EmbeddingMatrix.of_items(vecs, ids=items.ids)
         with pytest.warns(Warning) as caught:
-            run1 = stabilize_run(items1, users, ref, "run1")
+            run1 = stabilize_run(items1, users, run0, "run1")
         # The dead direction is a zero source column: the alignment degenerates.
         assert {RankTruncationWarning, DegenerateAlignmentWarning} <= {w.category for w in caught}
         record = store.save_run(run1)
@@ -979,6 +1009,57 @@ class TestRunStore:
         store, records = make_store_with_runs(tmp_path, n_runs=1)
         record = store.load_record("run0")
         assert record.spectrum == records[0].spectrum
+
+
+class TestDerivedPair:
+    """A loaded run's raw pair through its maps, by apply_transform, is the
+    stored items.emb and users.emb byte for byte. So the anchor stabilize_run
+    derives from a stored reference is the items.emb it used to read."""
+
+    def assert_derived_is_stored(self, store, run_id, out_dir):
+        run = store.load_run(run_id)
+        for side, raw, transform in (
+            ("items", run.raw_items, run.item_map),
+            ("users", run.raw_users, run.user_map),
+        ):
+            out = out_dir / f"{run_id}.{side}.emb"
+            write_embeddings(apply_transform(raw, transform), out)
+            assert out.read_bytes() == (store.run_dir(run_id) / f"{side}.emb").read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chain_with_a_rank_truncated_run_over_several_chunks(
+        self, tmp_path, monkeypatch, dtype
+    ):
+        # 150 items and 120 users span five and four chunks of 37 rows.
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 37)
+        store = RunStore(tmp_path / "store")
+        run = None
+        for k in range(3):
+            items, users = random_pair(150, 120, 6, seed=60 + k, dtype=dtype)
+            if k == 1:  # rank 5 of 6
+                vecs = items.vectors.copy()
+                vecs[:, 5] = vecs[:, 0]
+                items = EmbeddingMatrix.of_items(vecs, ids=items.ids)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if run is None:
+                    run = init_reference(items, users, "run0")
+                else:
+                    run = stabilize_run(items, users, store.reference_space(), f"run{k}")
+            assert (RankTruncationWarning in {w.category for w in caught}) == (k == 1)
+            store.save_run(run, advance=True)
+        for k in range(3):
+            self.assert_derived_is_stored(store, f"run{k}", tmp_path)
+
+    def test_kept_wide_store_of_older_releases(self, tmp_path):
+        items, users = random_pair(40, 30, 8, seed=5)
+        vecs = items.vectors.copy()
+        vecs[:, 7] = vecs[:, 0]  # rank 7 of 8: 8 x 7 maps, a 7-wide anchor
+        items = EmbeddingMatrix.of_items(vecs, ids=items.ids)
+        write_narrow_truncated_store(tmp_path / "old", items, users)
+        store = RunStore(tmp_path / "old")
+        assert store.load_run("run0").item_map.shape == (8, 7)
+        self.assert_derived_is_stored(store, "run0", tmp_path)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
