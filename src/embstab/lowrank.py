@@ -222,14 +222,10 @@ class EmbeddingMatrix:
 
 
 def _join(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, rows_a, rows_b): the ids both matrices hold, ascending, and each
-    side's rows at those ids, paired by id and cast to float64."""
+    """(ids, positions_a, positions_b): the ids both matrices hold, ascending,
+    and their rows in a and in b; callers gather and cast the rows."""
     ids = np.intersect1d(a.ids, b.ids, assume_unique=True)
-    return (
-        ids,
-        a.vectors[a.positions(ids)].astype(np.float64, copy=False),
-        b.vectors[b.positions(ids)].astype(np.float64, copy=False),
-    )
+    return ids, a.positions(ids), b.positions(ids)
 
 
 @dataclass(frozen=True, eq=False)

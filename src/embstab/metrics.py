@@ -79,9 +79,11 @@ def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, 
         raise RoleMismatch(f"cannot compare roles {a.role.name} and {b.role.name}")
     if a.dim != b.dim:
         raise DimensionMismatch(f"widths differ: {a.dim} and {b.dim}")
-    shared, va, vb = _join(a, b)
+    shared, pa, pb = _join(a, b)
     if shared.size == 0:
         raise InsufficientOverlap("inputs share no ids")
+    va = a.vectors[pa].astype(np.float64, copy=False)
+    vb = b.vectors[pb].astype(np.float64, copy=False)
     na = np.linalg.norm(va, axis=1)
     nb = np.linalg.norm(vb, axis=1)
     dead = (na == 0.0) | (nb == 0.0)
@@ -195,9 +197,11 @@ def rank_correlation_report(
         raise DimensionMismatch(
             f"widths differ: items {items_ref.dim}, users {users_a.dim} and {users_b.dim}"
         )
-    shared, ua, ub = _join(users_a, users_b)
+    shared, pa, pb = _join(users_a, users_b)
     if shared.size == 0:
         raise InsufficientOverlap("user sets share no ids")
+    ua = users_a.vectors[pa].astype(np.float64, copy=False)
+    ub = users_b.vectors[pb].astype(np.float64, copy=False)
     # Columns sorted by ascending item id, so a tie on score breaks toward
     # the smaller id; ranking columns instead of ids gives the same RBO,
     # since ids are unique. Negating the items negates every score exactly.

@@ -3,10 +3,10 @@
 A reference run seeds the standard space. Every later run is
 SVD-transformed the same way, its items are aligned with an orthogonal map
 onto its reference's items in that space (the anchor: the reference's raw
-items through its item map), and the two steps collapse into a single
-small matrix per side; a run is its inputs and those two maps. Each run
-can anchor the next one (reference chaining), so the seed run is not a
-special case forever.
+items through its item map, never formed, as the alignment needs only an
+e x e cross-covariance), and the two steps collapse into one small matrix
+per side; a run is its inputs and those two maps. Each run can anchor the
+next one (reference chaining), so the seed run is not a special case forever.
 
 Alignment is computed from items only; user embeddings ride along through
 their own composed map. Because the alignment is orthogonal, stabilization
@@ -20,8 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientOverlap
-from .lowrank import EmbeddingMatrix, SvdTransform, _join, apply_transform, low_rank_svd_trans
+from .lowrank import EmbeddingMatrix, SvdTransform, _join, low_rank_svd_trans
 from .procrustes import ortho_procrustes
+
+# Rows per block of stabilize_run's cross-covariance: blocks of 64 to 512 rows
+# gave the same maps at 1 and 2 OpenBLAS threads, 1024 and more did not.
+CROSS_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +95,11 @@ def stabilize_run(
 ) -> StabilizedRun:
     """Map one run's embeddings into the reference's standard space.
 
-    The run is SVD-transformed, then the rows whose item ids also appear in
-    the anchor, the reference's raw items through its item map, are
-    Procrustes-aligned onto the matching anchor rows. Items absent from the
-    reference are transformed but never influence the alignment. The
+    The run is SVD-transformed, then its items are Procrustes-aligned onto
+    the anchor, the reference's raw items through its item map, by the raw
+    cross-covariance of the rows whose ids both hold, summed over blocks of
+    rows in ascending id order, each cast to float64 alone: no n x e array is
+    made. Items absent from the reference never influence the alignment. The
     returned run anchors the next (rolling) one.
 
     Raises InsufficientOverlap when fewer than max(e, 10) item ids are
@@ -106,8 +111,7 @@ def stabilize_run(
         raise DimensionMismatch(f"run width {items.dim} != reference dimension {width}")
     transform = low_rank_svd_trans(items, users)
 
-    anchor = apply_transform(reference.raw_items, reference.item_map)
-    shared, shared_items, target = _join(items, anchor)
+    shared, rows, anchor_rows = _join(items, reference.raw_items)
     # The orthogonal map is unique only when the e x e cross-covariance has
     # full rank (Schoenemann, Psychometrika 1966), which fewer than e shared
     # rows cannot give; 10 keeps narrow runs off a handful of items.
@@ -117,7 +121,13 @@ def stabilize_run(
             f"{shared.size} shared item ids with reference {reference.run_id!r}, "
             f"need at least {need}"
         )
-    alignment = ortho_procrustes(shared_items @ transform.item_map, target)
+    # ortho_procrustes forms M_ref.T @ cross @ M_new = (B M_ref).T (A M_new).
+    cross = np.zeros((reference.raw_items.dim, items.dim))
+    for start in range(0, shared.size, CROSS_BLOCK_ROWS):
+        block = slice(start, start + CROSS_BLOCK_ROWS)
+        b = reference.raw_items.vectors[anchor_rows[block]].astype(np.float64, copy=False)
+        cross += b.T @ items.vectors[rows[block]].astype(np.float64, copy=False)
+    alignment = ortho_procrustes(cross @ transform.item_map, reference.item_map)
     return _build_run(run_id, reference.run_id, items, users, transform, alignment)
 
 

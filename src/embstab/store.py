@@ -38,7 +38,7 @@ written for consumers and read by no command), `raw_items.emb`,
 `raw_users.emb` (verbatim inputs), `mT.olt`, `mW.olt` (composed maps,
 float64) and `meta`, a JSON RunRecord listing each file's sha256, which
 every read checks first. load_run reads a run back from its raw pair, its
-maps and the spectrum in meta; the chaining anchor is derived from them.
+maps and the spectrum in meta: what stabilize_run and validate use of it.
 
 The `latest_ref` pointer file at the store root names the current reference
 run. A commit is one hold of one advisory lock, `save.lock` at the root; a

@@ -114,12 +114,14 @@ class TestJoin:
         rows_of_b = dict(zip(b_ids, b.vectors))
         shared = sorted(rows_of_a.keys() & rows_of_b.keys())
 
-        ids, rows_a, rows_b = lowrank._join(a, b)
+        ids, positions_a, positions_b = lowrank._join(a, b)
         assert ids.dtype == np.uint64 and ids.tolist() == shared
-        for rows, oracle in ((rows_a, rows_of_a), (rows_b, rows_of_b)):
-            assert rows.dtype == np.float64 and rows.shape == (len(shared), 3)
-            expected = np.array([oracle[i] for i in shared], dtype=np.float64).reshape(-1, 3)
-            assert np.array_equal(rows, expected)
+        for emb, positions, oracle in ((a, positions_a, rows_of_a), (b, positions_b, rows_of_b)):
+            assert positions.dtype.kind == "i" and positions.shape == (len(shared),)
+            assert emb.ids[positions].tolist() == shared
+            rows = emb.vectors[positions]
+            expected = np.array([oracle[i] for i in shared], dtype=emb.vectors.dtype)
+            assert np.array_equal(rows, expected.reshape(-1, 3))
 
 
 # Frozen from a dense SVD of the materialized 3x2 product

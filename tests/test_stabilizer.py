@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,13 +15,16 @@ from embstab import (
     init_reference,
     low_rank_svd_trans,
     mean_same_id_cosine,
+    ortho_procrustes,
     stabilize_run,
 )
-from embstab.errors import DimensionMismatch, InsufficientOverlap
-from embstab.stabilizer import StabilizedRun, score_product_error
+from embstab.cli import main
+from embstab.errors import DegenerateAlignmentWarning, DimensionMismatch, InsufficientOverlap
+from embstab.stabilizer import CROSS_BLOCK_ROWS, score_product_error
 from conftest import (
     alignment_maps,
     chain_gaps,
+    child_env,
     random_orthogonal,
     random_pair,
     rel_fro,
@@ -127,23 +135,14 @@ class TestStabilizeRun:
         items2 = EmbeddingMatrix.of_items(items.vectors @ g, ids=items.ids)
         users2 = EmbeddingMatrix.of_users(users.vectors @ g, ids=users.ids)
 
-        # The same anchor plus 40 rows under ids the run never holds, as a
-        # reference whose maps are the identity, so its raw items are its anchor.
-        anchor = stabilized_pair(ref)[0]
+        # The same reference, its raw items padded with 40 rows under ids the
+        # run never holds, and its own maps.
         extra = np.random.default_rng(16).standard_normal((40, 8)) * 10.0
-        padded_anchor = EmbeddingMatrix.of_items(
-            np.vstack([anchor.vectors, extra]),
-            ids=np.concatenate([anchor.ids, np.arange(5000, 5040, dtype=np.uint64)]),
+        padded_items = EmbeddingMatrix.of_items(
+            np.vstack([ref.raw_items.vectors, extra]),
+            ids=np.concatenate([ref.raw_items.ids, np.arange(5000, 5040, dtype=np.uint64)]),
         )
-        ref_padded = StabilizedRun(
-            run_id="r0",
-            reference_run_id="r0",
-            raw_items=padded_anchor,
-            raw_users=stabilized_pair(ref)[1],
-            item_map=np.eye(8),
-            user_map=np.eye(8),
-            spectrum=ref.spectrum,
-        )
+        ref_padded = dataclasses.replace(ref, raw_items=padded_items)
         with alignment_maps() as maps:
             stabilize_run(items2, users2, ref, "ra")
             stabilize_run(items2, users2, ref_padded, "rb")
@@ -399,3 +398,141 @@ class TestChainEquivalence:
         # own size; ||stabilized items||_F^2 is the sum of the spectrum.
         scale = np.sqrt(low_rank_svd_trans(*run2).spectrum.sum())
         assert 0 < item_gap / scale < 1.0
+
+
+def _rotated_retrain(gen, ref_items, dtype, churn, truncated):
+    """A retrain of ref_items: rotated, with 1e-2 relative noise, a `churn`
+    fraction of its rows replaced under new ids and, when `truncated`, its
+    last column a copy of the first, so its rank is exactly dim - 1."""
+    n, dim = ref_items.vectors.shape
+    rotation = random_orthogonal(dim, seed=int(gen.integers(1 << 30)))
+    vecs = ref_items.vectors.astype(np.float64) @ rotation
+    vecs += 1e-2 * gen.standard_normal(vecs.shape) / np.sqrt(dim)
+    ids = ref_items.ids.copy()
+    new = gen.permutation(n)[: int(churn * n)]
+    ids[new] = 10_000_000 + np.arange(new.size, dtype=np.uint64)
+    vecs[new] = gen.standard_normal((new.size, dim)) / np.sqrt(dim)
+    if truncated:
+        vecs[:, -1] = vecs[:, 0]
+    order = gen.permutation(n)
+    return EmbeddingMatrix.of_items(vecs[order].astype(dtype), ids=ids[order])
+
+
+class TestBlockSummedAlignment:
+    """stabilize_run sums the Procrustes cross-covariance over blocks of
+    CROSS_BLOCK_ROWS shared rows; the alignment is the one of the whole
+    shared rows through both maps."""
+
+    @given(
+        dim=st.integers(2, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.integers(40, 3 * CROSS_BLOCK_ROWS + 40),
+        churn=st.sampled_from([0.0, 0.1, 0.5]),
+        dead_run=st.booleans(),
+        dead_anchor=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_alignment_equals_the_full_shared_rows(
+        self, dim, dtype, n, churn, dead_run, dead_anchor, seed
+    ):
+        gen = np.random.default_rng(seed)
+        base = gen.standard_normal((n, dim)) / np.sqrt(dim)
+        if dead_anchor:
+            base[:, -1] = base[:, 0]
+        ref_items = EmbeddingMatrix.of_items(base.astype(dtype), ids=gen.permutation(2 * n)[:n])
+        ref_users = EmbeddingMatrix.of_users(gen.standard_normal((30, dim)).astype(dtype))
+        items = _rotated_retrain(gen, ref_items, dtype, churn, truncated=dead_run)
+        users = EmbeddingMatrix.of_users(gen.standard_normal((30, dim)).astype(dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = init_reference(ref_items, ref_users, "r0")
+            transform = low_rank_svd_trans(items, users)
+
+        with warnings.catch_warnings(record=True) as caught, alignment_maps() as maps:
+            warnings.simplefilter("always")
+            stabilize_run(items, users, ref, "r1")
+        shared = np.intersect1d(items.ids, ref_items.ids)
+        a = items.vectors[items.positions(shared)].astype(np.float64) @ transform.item_map
+        b = ref_items.vectors[ref_items.positions(shared)].astype(np.float64) @ ref.item_map
+        with warnings.catch_warnings(record=True) as expected_caught:
+            warnings.simplefilter("always")
+            expected = ortho_procrustes(a, b)
+
+        assert np.linalg.norm(maps[0] - expected) <= 1e-12 * dim
+        degenerate = [w for w in caught if w.category is DegenerateAlignmentWarning]
+        assert len(degenerate) == (dead_run or dead_anchor)
+        expected_categories = [w.category for w in expected_caught]
+        assert expected_categories == [DegenerateAlignmentWarning] * len(degenerate)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reference_row_order_does_not_change_the_maps(self, dtype):
+        gen = np.random.default_rng(40)
+        n = 3 * CROSS_BLOCK_ROWS + 17
+        ref_items = EmbeddingMatrix.of_items(gen.standard_normal((n, 8)).astype(dtype))
+        ref_users = EmbeddingMatrix.of_users(gen.standard_normal((50, 8)).astype(dtype))
+        ref = init_reference(ref_items, ref_users, "r0")
+        items = _rotated_retrain(gen, ref_items, dtype, churn=0.1, truncated=False)
+        users = EmbeddingMatrix.of_users(gen.standard_normal((50, 8)).astype(dtype))
+        perm = gen.permutation(n)
+        permuted = EmbeddingMatrix.of_items(ref_items.vectors[perm], ids=ref_items.ids[perm])
+        runs = [
+            stabilize_run(items, users, reference, "r1")
+            for reference in (ref, dataclasses.replace(ref, raw_items=permuted))
+        ]
+        assert runs[0].item_map.tobytes() == runs[1].item_map.tobytes()
+        assert runs[0].user_map.tobytes() == runs[1].user_map.tobytes()
+
+    def test_allocates_less_than_the_shared_items(self):
+        # No n x e array is made: not the anchor, not a float64 copy of the
+        # shared rows, not the transformed Procrustes source.
+        n, dim = 50_000, 32
+        gen = np.random.default_rng(41)
+        ref_items = EmbeddingMatrix.of_items(gen.standard_normal((n, dim)).astype(np.float32))
+        ref_users = EmbeddingMatrix.of_users(gen.standard_normal((2000, dim)).astype(np.float32))
+        ref = init_reference(ref_items, ref_users, "r0")
+        items = _rotated_retrain(gen, ref_items, np.float32, churn=0.0, truncated=False)
+        users = EmbeddingMatrix.of_users(gen.standard_normal((2000, dim)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            stabilize_run(items, users, ref, "r1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 4
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least two CPUs",
+)
+@pytest.mark.parametrize("dim", [32, 64])
+def test_maps_do_not_depend_on_the_blas_thread_count(tmp_path, dim):
+    """init and stabilize, as children at one and at two BLAS threads, write
+    the same mT.olt and mW.olt."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        f"n_items = 4096\nn_users = 1024\ndim = {dim}\nnoise_scale = 0.05\n"
+        "rotation = orthogonal\nvocab_drop_fraction = 0.05\nseed = 7\n"
+    )
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--runs", "2", "--out", str(sim)]) == 0
+    maps = []
+    for threads in ("1", "2"):
+        env = child_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        store = tmp_path / f"store{threads}"
+        for cmd, run in (("init", 0), ("stabilize", 1)):
+            subprocess.run(
+                [sys.executable, "-m", "embstab.cli", cmd,
+                 "--items", str(sim / f"run_00{run}.items.emb"),
+                 "--users", str(sim / f"run_00{run}.users.emb"),
+                 "--run-id", f"run{run}", "--out", str(store)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+        maps.append([
+            (store / "runs" / f"run{run}" / name).read_bytes()
+            for run in (0, 1) for name in ("mT.olt", "mW.olt")
+        ])
+    assert maps[0] == maps[1]
