@@ -177,13 +177,13 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dtype = np.float32 if args.precision == "f32" else np.float64
     items, users = gen_ground_truth(cfg)
-    pairs = [(items, users)]
-    for k in range(1, args.runs + 1):
-        pairs.append(gen_retrained_run(items, users, cfg, run_index=k))
-    for k, (it, us) in enumerate(pairs):
+    # One run at a time: each is generated, written and dropped before the next.
+    for k in range(args.runs + 1):
+        it, us = gen_retrained_run(items, users, cfg, run_index=k) if k else (items, users)
         write_embeddings(it.astype(dtype), out / f"run_{k:03d}.items.emb")
         write_embeddings(us.astype(dtype), out / f"run_{k:03d}.users.emb")
-    print(f"wrote {2 * len(pairs)} embedding files to {out}", file=sys.stderr)
+        del it, us
+    print(f"wrote {2 * (args.runs + 1)} embedding files to {out}", file=sys.stderr)
     return EXIT_OK
 
 

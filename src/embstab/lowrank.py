@@ -6,7 +6,8 @@ such that the transformed embeddings are the principal-direction
 coordinates of X scaled by the square root of its singular values, while
 every user-item dot product is preserved. Only the R factors of the thin
 QR of T and W enter an e x e SVD, so the cost is linear in n and m at
-fixed e and the score matrix is never materialized.
+fixed e and the score matrix is never materialized. The maps and the
+kept spectrum are returned as bare read-only float64 arrays.
 
 Each R factor comes from a fixed-block TSQR (Demmel et al., SISC 2012):
 the rows are cut, in order, into consecutive blocks of QR_BLOCK_ROWS rows
@@ -228,26 +229,6 @@ def _join(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarra
     return ids, a.positions(ids), b.positions(ids)
 
 
-@dataclass(frozen=True, eq=False)
-class SvdTransform:
-    """Per-run maps into the score space's principal-direction coordinates.
-
-    item_map and user_map are always e x e; spectrum holds the kept singular
-    values, as many as the effective rank. A dropped direction is an exact
-    zero column of both maps. Transformed Grams are diagonal and both equal
-    the spectrum, padded with zeros; the score product is unchanged.
-    """
-
-    item_map: np.ndarray
-    user_map: np.ndarray
-    spectrum: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("item_map", "user_map", "spectrum"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, _readonly(arr))
-
-
 def _qr_r(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(a.astype(np.float64, copy=False), mode="r")
 
@@ -301,8 +282,10 @@ def _check_pair(items: EmbeddingMatrix, users: EmbeddingMatrix) -> None:
         raise DimensionMismatch("embedding width must be at least 1")
 
 
-def low_rank_svd_trans(items: EmbeddingMatrix, users: EmbeddingMatrix) -> SvdTransform:
-    """Compute the score-space SVD transform from the factors alone.
+def low_rank_svd_trans(
+    items: EmbeddingMatrix, users: EmbeddingMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compute the score-space SVD maps from the factors alone.
 
     The effective rank comes from the spectrum: a singular value at or below
     max(SV_TRUNCATION_RTOL, e * eps) times the largest is dead, eps being
@@ -315,8 +298,9 @@ def low_rank_svd_trans(items: EmbeddingMatrix, users: EmbeddingMatrix) -> SvdTra
         users: m x e user embeddings.
 
     Returns:
-        SvdTransform whose maps diagonalize both transformed Grams and
-        preserve the score product items @ users.T exactly up to rounding.
+        Read-only float64 (item_map, user_map, spectrum): e x e maps that
+        make both transformed Grams the spectrum, zero-padded, and preserve
+        items @ users.T up to rounding; the kept singular values, descending.
 
     Raises:
         RoleMismatch, DimensionMismatch, and RankDeficient when no singular
@@ -350,7 +334,7 @@ def low_rank_svd_trans(items: EmbeddingMatrix, users: EmbeddingMatrix) -> SvdTra
     user_map = np.zeros((dim, dim))
     item_map[:, :kept] = (r_w.T @ vt[:kept].T) * inv_sqrt
     user_map[:, :kept] = (r_t.T @ u[:, :kept]) * inv_sqrt
-    return SvdTransform(item_map=item_map, user_map=user_map, spectrum=s[:kept])
+    return _readonly(item_map), _readonly(user_map), _readonly(s[:kept])
 
 
 def rowwise_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

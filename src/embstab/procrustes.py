@@ -1,9 +1,11 @@
 """Orthogonal Procrustes alignment between embedding coordinate systems.
 
 Finds the orthogonal map that, applied on the right of one set of row
-vectors, brings it as close as possible (in Frobenius norm) to a second
-set. Because the map is orthogonal it cannot change any dot product
-between rows that are transformed consistently on both sides. The map is a
+vectors a, brings it as close as possible (in Frobenius norm) to a paired
+set b. It depends on them only through the e x e cross-covariance b^T a
+(Schoenemann, Psychometrika 1966), which is all ortho_procrustes takes.
+Because the map is orthogonal it cannot change any dot product between
+rows that are transformed consistently on both sides. The map is a
 read-only float64 e x e array, checked orthogonal where it is made.
 """
 
@@ -19,36 +21,30 @@ from .lowrank import _dead_sv_threshold, _readonly
 ORTHONORMALITY_RTOL = 1e-12
 
 
-def ortho_procrustes(a, b) -> np.ndarray:
-    """Solve min over orthogonal maps r of ||a @ r - b||_F.
+def ortho_procrustes(cross) -> np.ndarray:
+    """Solve min over orthogonal maps r of ||a @ r - b||_F, given b.T @ a.
 
-    a and b must have the same shape: paired observations of the same
-    width. The solution is the transposed polar factor of b.T @ a; it is
-    unique whenever that cross-covariance has full rank. When it does not,
-    as for a rank-truncated source or anchor with zero columns, the result
-    is an orthogonal completion, equally optimal, and a
+    cross is the square, nonempty, finite e x e cross-covariance b.T @ a of
+    paired observations a and b of width e. The solution is the transposed
+    polar factor of cross; it is unique whenever cross has full rank. When
+    it does not, as for a rank-truncated source or anchor with zero
+    columns, the result is an orthogonal completion, equally optimal, and a
     DegenerateAlignmentWarning is emitted.
 
     Returns r as a read-only float64 e x e array. Reflections (determinant
     -1) are permitted: sign flips between SVD spaces need them. Raises
     ValueError unless r r^T is the identity to 1e-12 * e and |det r| is 1.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("alignment inputs must be 2-D")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"alignment input shapes differ: {a.shape} vs {b.shape}")
-    if a.shape[0] < 1:
-        raise DimensionMismatch("alignment needs at least one row")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NonFinite("alignment inputs contain NaN or Inf")
+    cross = np.asarray(cross, dtype=np.float64)
+    if cross.ndim != 2 or cross.shape[0] != cross.shape[1] or cross.size == 0:
+        raise DimensionMismatch(f"cross-covariance must be nonempty square, got {cross.shape}")
+    if not np.all(np.isfinite(cross)):
+        raise NonFinite("cross-covariance contains NaN or Inf")
 
     # A dead singular value of the cross-covariance means the optimal
     # alignment is not unique.
-    cross = b.T @ a
     u, s, vt = np.linalg.svd(cross, full_matrices=False)
-    if s.size == 0 or s[-1] <= _dead_sv_threshold(s, a.shape[1], np.finfo(np.float64).eps):
+    if s[-1] <= _dead_sv_threshold(s, cross.shape[1], np.finfo(np.float64).eps):
         warnings.warn(
             DegenerateAlignmentWarning(
                 "cross-covariance is rank deficient; alignment is optimal but not unique"

@@ -1,12 +1,13 @@
-"""Composition of the score-space SVD transform with Procrustes alignment.
+"""Composition of the score-space SVD maps with Procrustes alignment.
 
-A reference run seeds the standard space. Every later run is
-SVD-transformed the same way, its items are aligned with an orthogonal map
-onto its reference's items in that space (the anchor: the reference's raw
-items through its item map, never formed, as the alignment needs only an
-e x e cross-covariance), and the two steps collapse into one small matrix
-per side; a run is its inputs and those two maps. Each run can anchor the
-next one (reference chaining), so the seed run is not a special case forever.
+A reference run seeds the standard space; its maps are its SVD maps. Every
+later run is SVD-transformed the same way, its items are aligned with an
+orthogonal map onto its reference's items in that space (the anchor: the
+reference's raw items through its item map, never formed, as the alignment
+needs only an e x e cross-covariance), and the two steps collapse into one
+small matrix per side; a run is its inputs and those two maps. Stages pass
+bare read-only float64 arrays. Each run can anchor the next one (reference
+chaining), so the seed run is not a special case forever.
 
 Alignment is computed from items only; user embeddings ride along through
 their own composed map. Because the alignment is orthogonal, stabilization
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientOverlap
-from .lowrank import EmbeddingMatrix, SvdTransform, _join, low_rank_svd_trans
+from .lowrank import EmbeddingMatrix, _join, _readonly, low_rank_svd_trans
 from .procrustes import ortho_procrustes
 
 # Rows per block of stabilize_run's cross-covariance: blocks of 64 to 512 rows
@@ -32,12 +33,14 @@ CROSS_BLOCK_ROWS = 256
 class StabilizedRun:
     """One run as its inputs and its two maps into the standard space.
 
-    item_map and user_map are the composed e x e per-side transforms (SVD
-    step times alignment). A stabilized side is apply_transform(raw, map),
-    derived where used and never held, so every run of width e lands in the
-    same e-wide standard space whatever its effective rank, which the
-    spectrum's length gives. A run is also the reference of the next one:
-    stabilize_run aligns onto its raw items through its item map.
+    item_map and user_map are the composed e x e per-side transforms, SVD
+    step times alignment; a seed's are the SVD maps themselves, as
+    low_rank_svd_trans returns them. A stabilized side is
+    apply_transform(raw, map), derived where used and never held, so every
+    run of width e lands in the same e-wide standard space whatever its
+    effective rank, which the spectrum's length gives. A run is also the
+    reference of the next one: stabilize_run aligns onto its raw items
+    through its item map.
     """
 
     run_id: str
@@ -57,34 +60,14 @@ class StabilizedRun:
         return self.item_map.shape[0]
 
 
-def _build_run(
-    run_id: str,
-    reference_run_id: str,
-    items: EmbeddingMatrix,
-    users: EmbeddingMatrix,
-    transform: SvdTransform,
-    alignment: np.ndarray,
-) -> StabilizedRun:
-    return StabilizedRun(
-        run_id=run_id,
-        reference_run_id=reference_run_id,
-        raw_items=items,
-        raw_users=users,
-        item_map=transform.item_map @ alignment,
-        user_map=transform.user_map @ alignment,
-        spectrum=transform.spectrum,
-    )
-
-
 def init_reference(items: EmbeddingMatrix, users: EmbeddingMatrix, run_id: str) -> StabilizedRun:
     """Seed the standard space from one run.
 
-    The run's own SVD space is the standard space, so its alignment is the
-    identity and the composed maps equal the SVD maps, e x e even when dead
-    directions leave zero columns. The run anchors later runs.
+    The run's own SVD space is the standard space, so its maps are the SVD
+    maps themselves, e x e even when dead directions leave zero columns; no
+    alignment is solved. The run anchors later runs.
     """
-    transform = low_rank_svd_trans(items, users)
-    return _build_run(run_id, run_id, items, users, transform, np.eye(items.dim))
+    return StabilizedRun(run_id, run_id, items, users, *low_rank_svd_trans(items, users))
 
 
 def stabilize_run(
@@ -109,7 +92,7 @@ def stabilize_run(
     width = reference.item_map.shape[1]
     if items.dim != width:
         raise DimensionMismatch(f"run width {items.dim} != reference dimension {width}")
-    transform = low_rank_svd_trans(items, users)
+    item_map, user_map, spectrum = low_rank_svd_trans(items, users)
 
     shared, rows, anchor_rows = _join(items, reference.raw_items)
     # The orthogonal map is unique only when the e x e cross-covariance has
@@ -121,14 +104,16 @@ def stabilize_run(
             f"{shared.size} shared item ids with reference {reference.run_id!r}, "
             f"need at least {need}"
         )
-    # ortho_procrustes forms M_ref.T @ cross @ M_new = (B M_ref).T (A M_new).
+    # The alignment's cross-covariance (B M_ref).T (A M_new) = M_ref.T cross M_new.
     cross = np.zeros((reference.raw_items.dim, items.dim))
     for start in range(0, shared.size, CROSS_BLOCK_ROWS):
         block = slice(start, start + CROSS_BLOCK_ROWS)
         b = reference.raw_items.vectors[anchor_rows[block]].astype(np.float64, copy=False)
         cross += b.T @ items.vectors[rows[block]].astype(np.float64, copy=False)
-    alignment = ortho_procrustes(cross @ transform.item_map, reference.item_map)
-    return _build_run(run_id, reference.run_id, items, users, transform, alignment)
+    alignment = ortho_procrustes(reference.item_map.T @ (cross @ item_map))
+    return StabilizedRun(run_id, reference.run_id, items, users,
+                         _readonly(item_map @ alignment), _readonly(user_map @ alignment),
+                         spectrum)
 
 
 def score_product_error(

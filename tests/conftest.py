@@ -131,9 +131,9 @@ def write_narrow_truncated_store(store, items, users):
     of a rank-deficient run: e x kept maps, a kept-wide anchor, meta.dim
     equal to kept and the policy in meta."""
     with pytest.warns(RankTruncationWarning):
-        tr = low_rank_svd_trans(items, users)
-    kept = tr.spectrum.size
-    item_map, user_map = tr.item_map[:, :kept], tr.user_map[:, :kept]
+        item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+    kept = spectrum.size
+    item_map, user_map = item_map[:, :kept], user_map[:, :kept]
     run_dir = store / "runs" / "run0"
     run_dir.mkdir(parents=True)
     files = {
@@ -150,7 +150,7 @@ def write_narrow_truncated_store(store, items, users):
         created_at="2025-01-01T00:00:00+00:00",
         dim=kept,
         effective_rank=kept,
-        spectrum=tuple(float(v) for v in tr.spectrum),
+        spectrum=tuple(float(v) for v in spectrum),
         files=files,
     )
     meta = {**asdict(record), "rank_policy": "truncate"}
@@ -165,8 +165,8 @@ def alignment_maps():
     order: a spy on the ortho_procrustes that embstab.stabilizer calls."""
     maps = []
 
-    def spy(a, b):
-        maps.append(ortho_procrustes(a, b))
+    def spy(cross):
+        maps.append(ortho_procrustes(cross))
         return maps[-1]
 
     with pytest.MonkeyPatch.context() as patch:

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -133,11 +134,11 @@ class TestLowRankSvdTrans:
     def test_identity_score_matrix(self):
         items = EmbeddingMatrix.of_items(np.eye(2))
         users = EmbeddingMatrix.of_users(np.eye(2))
-        tr = low_rank_svd_trans(items, users)
-        np.testing.assert_allclose(tr.spectrum, [1.0, 1.0], atol=1e-12)
+        item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+        np.testing.assert_allclose(spectrum, [1.0, 1.0], atol=1e-12)
         # The maps are not unique under a degenerate spectrum; check the
         # product and Gram contracts instead of the matrix entries.
-        product = (np.eye(2) @ tr.item_map) @ (np.eye(2) @ tr.user_map).T
+        product = (np.eye(2) @ item_map) @ (np.eye(2) @ user_map).T
         np.testing.assert_allclose(product, np.eye(2), atol=1e-12)
 
     def test_small_example_against_dense_svd_oracle(self):
@@ -147,9 +148,9 @@ class TestLowRankSvdTrans:
         oracle = np.linalg.svd(score, compute_uv=False)
         np.testing.assert_allclose(oracle, EXPECTED_SPECTRUM_3X2, rtol=1e-15)
 
-        tr = low_rank_svd_trans(items, users)
-        np.testing.assert_allclose(tr.spectrum, EXPECTED_SPECTRUM_3X2, rtol=1e-12)
-        rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
+        item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+        np.testing.assert_allclose(spectrum, EXPECTED_SPECTRUM_3X2, rtol=1e-12)
+        rebuilt = (items.vectors @ item_map) @ (users.vectors @ user_map).T
         assert np.linalg.norm(rebuilt - score) < 1e-12
 
     def test_random_pair_product_and_spectrum(self):
@@ -157,22 +158,22 @@ class TestLowRankSvdTrans:
         score = items.vectors @ users.vectors.T
         dense_top = np.linalg.svd(score, compute_uv=False)[:8]
 
-        tr = low_rank_svd_trans(items, users)
-        rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
+        item_map, user_map, _ = low_rank_svd_trans(items, users)
+        rebuilt = (items.vectors @ item_map) @ (users.vectors @ user_map).T
         assert rel_fro(rebuilt, score) < 1e-10
-        gram = (items.vectors @ tr.item_map).T @ (items.vectors @ tr.item_map)
+        gram = (items.vectors @ item_map).T @ (items.vectors @ item_map)
         np.testing.assert_allclose(np.diag(gram), dense_top, rtol=1e-8)
 
     def test_gram_diagonality_both_sides(self):
         items, users = random_pair(60, 45, 8, seed=5)
-        tr = low_rank_svd_trans(items, users)
-        gt = (items.vectors @ tr.item_map).T @ (items.vectors @ tr.item_map)
-        gw = (users.vectors @ tr.user_map).T @ (users.vectors @ tr.user_map)
-        tol = 1e-8 * tr.spectrum[0]
+        item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+        gt = (items.vectors @ item_map).T @ (items.vectors @ item_map)
+        gw = (users.vectors @ user_map).T @ (users.vectors @ user_map)
+        tol = 1e-8 * spectrum[0]
         assert np.max(np.abs(gt - np.diag(np.diag(gt)))) < tol
         assert np.max(np.abs(gw - np.diag(np.diag(gw)))) < tol
         np.testing.assert_allclose(np.diag(gt), np.diag(gw), rtol=1e-8)
-        np.testing.assert_allclose(np.diag(gt), tr.spectrum, rtol=1e-8)
+        np.testing.assert_allclose(np.diag(gt), spectrum, rtol=1e-8)
 
     def test_inverse_free_identity(self):
         # item_map built as R_W^T V S^{-1/2} must agree with the explicit
@@ -184,24 +185,40 @@ class TestLowRankSvdTrans:
         r_w = np.linalg.qr(users.vectors, mode="r")
         u, s, _ = np.linalg.svd(r_t @ r_w.T)
         alt = np.linalg.solve(r_t, u * np.sqrt(s))
-        tr = low_rank_svd_trans(items, users)
-        np.testing.assert_allclose(tr.spectrum, s, rtol=1e-12)
-        alt *= np.sign(np.sum(alt * tr.item_map, axis=0))
-        assert np.linalg.norm(tr.item_map - alt) < 1e-8
+        item_map, _, spectrum = low_rank_svd_trans(items, users)
+        np.testing.assert_allclose(spectrum, s, rtol=1e-12)
+        alt *= np.sign(np.sum(alt * item_map, axis=0))
+        assert np.linalg.norm(item_map - alt) < 1e-8
 
     def test_deterministic(self):
         items, users = random_pair(30, 25, 4, seed=9)
         a = low_rank_svd_trans(items, users)
         b = low_rank_svd_trans(items, users)
-        assert np.array_equal(a.item_map, b.item_map)
-        assert np.array_equal(a.user_map, b.user_map)
-        assert np.array_equal(a.spectrum, b.spectrum)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rank", [6, 4])
+    def test_returns_three_read_only_float64_arrays(self, dtype, rank):
+        items, users = rank_r_pair(40, 30, 6, rank, seed=rank, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankTruncationWarning)
+            result = low_rank_svd_trans(items, users)
+        assert type(result) is tuple and len(result) == 3
+        item_map, user_map, spectrum = result
+        assert item_map.shape == user_map.shape == (6, 6)
+        assert spectrum.shape == (rank,)
+        for arr in result:
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_spectrum_sorted_nonincreasing(self):
         items, users = random_pair(40, 30, 6, seed=2)
-        tr = low_rank_svd_trans(items, users)
-        assert np.all(np.diff(tr.spectrum) <= 0)
-        assert np.all(tr.spectrum > 0)
+        _, _, spectrum = low_rank_svd_trans(items, users)
+        assert np.all(np.diff(spectrum) <= 0)
+        assert np.all(spectrum > 0)
 
     def test_role_mismatch(self):
         items, users = random_pair(10, 10, 2)
@@ -227,15 +244,15 @@ class TestLowRankSvdTrans:
         items = EmbeddingMatrix.of_items(vecs)
         users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((15, 3)))
         with pytest.warns(RankTruncationWarning):
-            tr = low_rank_svd_trans(items, users)
-        assert tr.spectrum.size == 2
+            item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+        assert spectrum.size == 2
         # The maps keep the input width; the dead direction is a +0.0 column.
-        for m in (tr.item_map, tr.user_map):
+        for m in (item_map, user_map):
             assert m.shape == (3, 3)
             assert np.array_equal(m[:, 2], np.zeros(3))
             assert not np.any(np.signbit(m[:, 2]))
         score = items.vectors @ users.vectors.T
-        rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
+        rebuilt = (items.vectors @ item_map) @ (users.vectors @ user_map).T
         assert rel_fro(rebuilt, score) < 1e-10
 
     # A float64 rank-r pair cast to float32 keeps about 1e-8 of s_1 in each
@@ -245,16 +262,16 @@ class TestLowRankSvdTrans:
         items64, users64 = rank_r_pair(3 * dim, 2 * dim + 10, dim, rank, seed=dim)
         items, users = items64.astype(np.float32), users64.astype(np.float32)
         with pytest.warns(RankTruncationWarning, match=f"effective rank {rank}"):
-            tr = low_rank_svd_trans(items, users)
-        assert tr.spectrum.size == rank
+            item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+        assert spectrum.size == rank
         t = items.vectors.astype(np.float64)
         w = users.vectors.astype(np.float64)
-        assert rel_fro((t @ tr.item_map) @ (w @ tr.user_map).T, t @ w.T) <= 1e-6
+        assert rel_fro((t @ item_map) @ (w @ user_map).T, t @ w.T) <= 1e-6
         with pytest.warns(RankTruncationWarning):
-            tr64 = low_rank_svd_trans(items64, users64)
-        assert tr64.spectrum.size == rank
+            item_map64, _, spectrum64 = low_rank_svd_trans(items64, users64)
+        assert spectrum64.size == rank
         np.testing.assert_allclose(
-            np.abs(tr.item_map).max(), np.abs(tr64.item_map).max(), rtol=1e-3
+            np.abs(item_map).max(), np.abs(item_map64).max(), rtol=1e-3
         )
 
     @pytest.mark.parametrize("dim", [8, 64, 128])
@@ -264,12 +281,12 @@ class TestLowRankSvdTrans:
         gen = np.random.default_rng(dim)
         q_items = np.linalg.qr(gen.standard_normal((3 * dim, dim)))[0]
         q_users = np.linalg.qr(gen.standard_normal((2 * dim, dim)))[0]
-        spectrum = np.geomspace(1.0, 1e-10, dim)
-        items = EmbeddingMatrix.of_items(q_items * spectrum)
+        planted = np.geomspace(1.0, 1e-10, dim)
+        items = EmbeddingMatrix.of_items(q_items * planted)
         users = EmbeddingMatrix.of_users(q_users)
-        tr = low_rank_svd_trans(items, users)
-        assert tr.spectrum.size == dim
-        np.testing.assert_allclose(tr.spectrum, spectrum, rtol=1e-4)
+        _, _, spectrum = low_rank_svd_trans(items, users)
+        assert spectrum.size == dim
+        np.testing.assert_allclose(spectrum, planted, rtol=1e-4)
 
     def test_zero_matrix_rank_deficient_even_truncating(self):
         items = EmbeddingMatrix.of_items(np.zeros((5, 2)))
@@ -283,10 +300,10 @@ class TestLowRankSvdTrans:
         items = EmbeddingMatrix.of_items(np.random.default_rng(0).standard_normal((3, 5)))
         users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((10, 5)))
         with pytest.warns(RankTruncationWarning):
-            tr = low_rank_svd_trans(items, users)
-        assert tr.spectrum.size == 3
+            item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+        assert spectrum.size == 3
         score = items.vectors @ users.vectors.T
-        rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
+        rebuilt = (items.vectors @ item_map) @ (users.vectors @ user_map).T
         assert rel_fro(rebuilt, score) < 1e-10
 
     @pytest.mark.parametrize("dim", [2, 8])
@@ -295,9 +312,9 @@ class TestLowRankSvdTrans:
         gen = np.random.default_rng(seed)
         n, m = int(gen.integers(dim, 200)), int(gen.integers(dim, 200))
         items, users = random_pair(n, m, dim, seed=seed + 100)
-        tr = low_rank_svd_trans(items, users)
+        _, _, spectrum = low_rank_svd_trans(items, users)
         dense = np.linalg.svd(items.vectors @ users.vectors.T, compute_uv=False)[:dim]
-        np.testing.assert_allclose(tr.spectrum, dense, rtol=1e-8)
+        np.testing.assert_allclose(spectrum, dense, rtol=1e-8)
 
 
 def signed_one_shot_r(a):
@@ -386,13 +403,13 @@ class TestRFactor:
         items = EmbeddingMatrix.of_items(vecs)
         users = EmbeddingMatrix.of_users(np.random.default_rng(1).standard_normal((90, 3)))
         with pytest.warns(RankTruncationWarning):
-            tr = low_rank_svd_trans(items, users)
-        assert tr.spectrum.size == 2
+            item_map, user_map, spectrum = low_rank_svd_trans(items, users)
+        assert spectrum.size == 2
         score = items.vectors @ users.vectors.T
-        rebuilt = (items.vectors @ tr.item_map) @ (users.vectors @ tr.user_map).T
+        rebuilt = (items.vectors @ item_map) @ (users.vectors @ user_map).T
         assert rel_fro(rebuilt, score) < 1e-10
         dense = np.linalg.svd(score, compute_uv=False)[:2]
-        np.testing.assert_allclose(tr.spectrum, dense, rtol=1e-10)
+        np.testing.assert_allclose(spectrum, dense, rtol=1e-10)
 
 
 class TestApplyTransform:
@@ -410,10 +427,10 @@ class TestApplyTransform:
 
     def test_gram_diagonal_after_svd_map(self):
         items, users = random_pair(50, 40, 8, seed=3)
-        tr = low_rank_svd_trans(items, users)
-        out = apply_transform(items, tr.item_map)
+        item_map, _, spectrum = low_rank_svd_trans(items, users)
+        out = apply_transform(items, item_map)
         gram = out.vectors.T @ out.vectors
-        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-8 * tr.spectrum[0]
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-8 * spectrum[0]
 
     def test_dimension_mismatch(self):
         items, _ = random_pair(5, 5, 3)

@@ -19,7 +19,12 @@ from embstab import (
     stabilize_run,
 )
 from embstab.cli import main
-from embstab.errors import DegenerateAlignmentWarning, DimensionMismatch, InsufficientOverlap
+from embstab.errors import (
+    DegenerateAlignmentWarning,
+    DimensionMismatch,
+    InsufficientOverlap,
+    RankTruncationWarning,
+)
 from embstab.stabilizer import CROSS_BLOCK_ROWS, score_product_error
 from conftest import (
     alignment_maps,
@@ -27,6 +32,7 @@ from conftest import (
     child_env,
     random_orthogonal,
     random_pair,
+    rank_r_pair,
     rel_fro,
     stabilized_pair,
 )
@@ -64,13 +70,23 @@ class TestInitReference:
         assert np.max(np.abs(off)) < 1e-8 * run.spectrum[0]
 
     def test_maps_equal_svd_maps(self):
-        items, users = random_pair(30, 25, 4, seed=3)
-        with alignment_maps() as maps:
-            run = init_reference(items, users, "r0")
-        tr = low_rank_svd_trans(items, users)
-        assert np.array_equal(run.item_map, tr.item_map)
-        assert np.array_equal(run.user_map, tr.user_map)
-        assert maps == []  # the seed's alignment is the identity; none is solved
+        # Full-rank and rank-truncated seeds at both precisions: the run holds
+        # the SVD maps and spectrum themselves, byte for byte and read-only,
+        # with no identity product.
+        for dtype in (np.float32, np.float64):
+            for rank in (8, 5):
+                items, users = rank_r_pair(60, 40, 8, rank, seed=rank, dtype=dtype)
+                with warnings.catch_warnings(), alignment_maps() as maps:
+                    warnings.simplefilter("ignore", RankTruncationWarning)
+                    run = init_reference(items, users, "r0")
+                    expected = low_rank_svd_trans(items, users)
+                assert maps == []  # the seed's alignment is the identity; none is solved
+                assert run.effective_rank == rank
+                held = (run.item_map, run.user_map, run.spectrum)
+                for arr, made in zip(held, expected):
+                    assert arr.dtype == np.float64 and arr.shape == made.shape
+                    assert arr.tobytes() == made.tobytes()
+                    assert not arr.flags.writeable
 
 
 class TestStabilizeRun:
@@ -215,9 +231,12 @@ class TestStabilizeRun:
         items2, users2 = random_pair(50, 40, 8, seed=25)
         with alignment_maps() as maps:
             run = stabilize_run(items2, users2, ref, "r1")
-        tr = low_rank_svd_trans(items2, users2)
-        np.testing.assert_array_equal(run.item_map, tr.item_map @ maps[0])
-        np.testing.assert_array_equal(run.user_map, tr.user_map @ maps[0])
+        item_map, user_map, spectrum = low_rank_svd_trans(items2, users2)
+        np.testing.assert_array_equal(run.item_map, item_map @ maps[0])
+        np.testing.assert_array_equal(run.user_map, user_map @ maps[0])
+        np.testing.assert_array_equal(run.spectrum, spectrum)
+        for arr in (run.item_map, run.user_map, run.spectrum):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
 
     def test_insufficient_overlap(self):
         items, users = random_pair(20, 15, 4, seed=26)
@@ -396,7 +415,7 @@ class TestChainEquivalence:
         item_gap, _ = chain_gaps((items, users), run1, run2)
         # Noise makes chaining inexact but keeps it far below the output's
         # own size; ||stabilized items||_F^2 is the sum of the spectrum.
-        scale = np.sqrt(low_rank_svd_trans(*run2).spectrum.sum())
+        scale = np.sqrt(low_rank_svd_trans(*run2)[2].sum())
         assert 0 < item_gap / scale < 1.0
 
 
@@ -447,17 +466,17 @@ class TestBlockSummedAlignment:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ref = init_reference(ref_items, ref_users, "r0")
-            transform = low_rank_svd_trans(items, users)
+            item_map, _, _ = low_rank_svd_trans(items, users)
 
         with warnings.catch_warnings(record=True) as caught, alignment_maps() as maps:
             warnings.simplefilter("always")
             stabilize_run(items, users, ref, "r1")
         shared = np.intersect1d(items.ids, ref_items.ids)
-        a = items.vectors[items.positions(shared)].astype(np.float64) @ transform.item_map
+        a = items.vectors[items.positions(shared)].astype(np.float64) @ item_map
         b = ref_items.vectors[ref_items.positions(shared)].astype(np.float64) @ ref.item_map
         with warnings.catch_warnings(record=True) as expected_caught:
             warnings.simplefilter("always")
-            expected = ortho_procrustes(a, b)
+            expected = ortho_procrustes(b.T @ a)
 
         assert np.linalg.norm(maps[0] - expected) <= 1e-12 * dim
         degenerate = [w for w in caught if w.category is DegenerateAlignmentWarning]
