@@ -5,13 +5,16 @@ stabilize (map a new run into it), validate (compare two stored runs),
 apply (stream an embedding file through a stored transform). A run's rank
 is read from its spectrum, so a rank-deficient run commits with a warning.
 Diagnostics go to standard error, a warning as one `warning: <message>` line;
-data goes to files. Exit codes: 0 success, 2 validation error (bad
-dimensions, unknown run ids, insufficient overlap, a run with no live
-direction, a zero-norm row in a compared run, a `--top-k` below 1, an
-`--rbo-p` outside (0, 1), a non-numeric config value, a stale reference, a
-second `init`, a map holding NaN or Inf, or an `apply` input holding NaN,
-Inf or a repeated id), 3 I/O error (including a malformed run `meta` or a
-run file whose digest differs from it) or out of memory.
+data goes to files. Exit codes: 0 success; 3 for CorruptFile, OSError or
+MemoryError, an I/O error (including a malformed run `meta` or a run file
+whose digest differs from it) or out of memory; 2 for every other
+EmbStabError, a validation error (bad dimensions, unknown run ids, an
+unsafe `--run-id`, insufficient overlap, a run with no live direction, a
+zero-norm row in a compared run, a `--top-k` below 1, an `--rbo-p` outside
+(0, 1), a `simulate --runs` below 0, a non-numeric or out-of-range config
+value such as `dim` above `n_items`, a stale reference, a second `init`, a
+map holding NaN or Inf, or an `init`, `stabilize` or `apply` input holding
+NaN, Inf or a repeated id).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     InvalidConfig,
 )
 from .lowrank import _refuse_rows, apply_transform
-from .metrics import MetricsReport, compare_runs, write_report
+from .metrics import RBO_DEPTH, RBO_PERSISTENCE, MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
 from .store import (
@@ -82,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-b", required=True)
     p.add_argument("--store", required=True, help="store root directory")
     p.add_argument("--raw", action="store_true", help="compare raw instead of stabilized")
-    p.add_argument("--top-k", type=int, default=100)
-    p.add_argument("--rbo-p", type=float, default=0.9)
+    p.add_argument("--top-k", type=int, default=RBO_DEPTH)
+    p.add_argument("--rbo-p", type=float, default=RBO_PERSISTENCE)
     p.add_argument("--out", default=None, help="report directory (default: store reports/)")
     p.set_defaults(func=_cmd_validate)
 

@@ -206,6 +206,7 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    # No command calls this; perfbench/tracer.py wraps it.
     def positions(self, ids) -> np.ndarray:
         """Positional row indices of the given ids, which must all be present."""
         ids = np.asarray(ids, dtype=np.uint64)
@@ -224,9 +225,9 @@ class EmbeddingMatrix:
 
 def _join(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ids, positions_a, positions_b): the ids both matrices hold, ascending,
-    and their rows in a and in b; callers gather and cast the rows."""
-    ids = np.intersect1d(a.ids, b.ids, assume_unique=True)
-    return ids, a.positions(ids), b.positions(ids)
+    and their rows in a and in b, from one sort of both id arrays; callers
+    gather and cast the rows."""
+    return np.intersect1d(a.ids, b.ids, assume_unique=True, return_indices=True)
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:

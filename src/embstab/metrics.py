@@ -40,6 +40,11 @@ from .lowrank import EmbeddingMatrix, _in_lanes, _join
 # rank_correlation_report scores max(1, this // n_items) users at a time.
 SCORE_BLOCK_ELEMENTS = 1 << 20
 
+# The default RBO depth (top-k) and persistence p, of the library and of
+# `validate --top-k`/`--rbo-p` alike.
+RBO_DEPTH = 100
+RBO_PERSISTENCE = 0.9
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -127,7 +132,7 @@ def _rbo_rows(ranked_a: np.ndarray, ranked_b: np.ndarray, p: float) -> np.ndarra
 
 
 # Only the benchmark calls this: perfbench/oracle.py imports it and perfbench/tracer.py wraps it.
-def rbo(list_a, list_b, p: float = 0.9, depth: int = 100) -> float:
+def rbo(list_a, list_b, p: float = RBO_PERSISTENCE, depth: int = RBO_DEPTH) -> float:
     """Extrapolated rank-biased overlap of two ranked lists.
 
     With A_d the fraction of the two depth-d prefixes that agree as sets,
@@ -177,8 +182,8 @@ def rank_correlation_report(
     items_ref: EmbeddingMatrix,
     users_a: EmbeddingMatrix,
     users_b: EmbeddingMatrix,
-    top_k: int = 100,
-    p: float = 0.9,
+    top_k: int = RBO_DEPTH,
+    p: float = RBO_PERSISTENCE,
 ) -> tuple[float, int]:
     """Mean RBO between each shared user's top-k item rankings under two runs.
 
@@ -227,8 +232,8 @@ def compare_runs(
     users_a: EmbeddingMatrix,
     items_b: EmbeddingMatrix,
     users_b: EmbeddingMatrix,
-    top_k: int = 100,
-    p: float = 0.9,
+    top_k: int = RBO_DEPTH,
+    p: float = RBO_PERSISTENCE,
 ) -> MetricsReport:
     """Full two-run comparison: same-user cosine, same-item cosine, and mean
     RBO of rankings against run A's items."""

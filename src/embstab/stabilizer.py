@@ -114,35 +114,3 @@ def stabilize_run(
     return StabilizedRun(run_id, reference.run_id, items, users,
                          _readonly(item_map @ alignment), _readonly(user_map @ alignment),
                          spectrum)
-
-
-def score_product_error(
-    raw_items: EmbeddingMatrix,
-    raw_users: EmbeddingMatrix,
-    stabilized_items: EmbeddingMatrix,
-    stabilized_users: EmbeddingMatrix,
-    max_rows: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Relative Frobenius gap between raw and stabilized score products.
-
-    With max_rows set, the comparison runs on a deterministic random block
-    of rows from each side, which keeps the check affordable at production
-    scale. Returns ||stab - raw||_F / ||raw||_F over the block.
-    """
-    it = slice(None)
-    us = slice(None)
-    if max_rows is not None:
-        rng = np.random.default_rng(seed)
-        if raw_items.n > max_rows:
-            it = rng.choice(raw_items.n, size=max_rows, replace=False)
-        if raw_users.n > max_rows:
-            us = rng.choice(raw_users.n, size=max_rows, replace=False)
-    t = raw_items.vectors.astype(np.float64, copy=False)[it]
-    w = raw_users.vectors.astype(np.float64, copy=False)[us]
-    t_hat = stabilized_items.vectors.astype(np.float64, copy=False)[it]
-    w_hat = stabilized_users.vectors.astype(np.float64, copy=False)[us]
-    raw = t @ w.T
-    gap = np.linalg.norm(t_hat @ w_hat.T - raw)
-    denom = np.linalg.norm(raw)
-    return float(gap / denom) if denom > 0 else float(gap)

@@ -342,9 +342,6 @@ class RunStore:
     def latest_ref_path(self) -> Path:
         return self.root / "latest_ref"
 
-    def init(self) -> None:
-        self.runs_dir.mkdir(parents=True, exist_ok=True)
-
     def run_dir(self, run_id: str) -> Path:
         if not _PLAIN_NAME.fullmatch(run_id):
             raise InvalidRunId(f"run id {run_id!r} is not a safe directory name")
@@ -360,7 +357,7 @@ class RunStore:
         reference) from none: otherwise advancing raises StaleReference
         before any write, so a store holds one chain."""
         directory = self.run_dir(run.run_id)
-        self.init()
+        self.runs_dir.mkdir(parents=True, exist_ok=True)
         staging = self.runs_dir / f".staging-{run.run_id}"
         pointer = self.root / "latest_ref.tmp"
         with open(self.root / "save.lock", "w") as lock:

@@ -124,6 +124,16 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert line.split(" = ")[0] in err
 
+    def test_negative_runs_exits_2_and_creates_no_out(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CFG)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--runs", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--runs" in err
+        assert not out.exists()
+
     def test_missing_config_exits_3(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--runs", "1",
                    "--out", str(tmp_path / "x")])
@@ -161,6 +171,22 @@ class TestInit:
         assert "latest_ref names 'run1'" in err
         assert sorted(store_with_two_runs.rglob("*")) == before
         assert (store_with_two_runs / "latest_ref").read_text() == "run1\n"
+
+    @pytest.mark.parametrize("run_id", ["../evil", "a/b", ".hidden"])
+    def test_unsafe_run_id_exits_2_and_creates_no_store(self, tmp_path, sim_dir, capsys, run_id):
+        store = tmp_path / "store"
+        capsys.readouterr()
+        assert main([
+            "init",
+            "--items", str(sim_dir / "run_000.items.emb"),
+            "--users", str(sim_dir / "run_000.users.emb"),
+            "--run-id", run_id,
+            "--out", str(store),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not store.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim", "sim.cfg"]
 
     def test_mismatched_dims_exit_2_names_widths(self, tmp_path, capsys):
         items = EmbeddingMatrix.of_items(np.random.default_rng(0).standard_normal((20, 8)))
@@ -366,6 +392,23 @@ class TestStabilize:
             "--ref", "ghost",
         ])
         assert rc == 2
+
+    def test_unsafe_run_id_exits_2_and_changes_nothing(self, sim_dir, store_with_two_runs, capsys):
+        store = store_with_two_runs
+        before = sorted(store.rglob("*"))
+        capsys.readouterr()
+        assert main([
+            "stabilize",
+            "--items", str(sim_dir / "run_002.items.emb"),
+            "--users", str(sim_dir / "run_002.users.emb"),
+            "--run-id", "../x",
+            "--out", str(store),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(store.rglob("*")) == before
+        assert sorted(p.name for p in (store / "runs").iterdir()) == ["run0", "run1"]
+        assert (store / "latest_ref").read_text() == "run1\n"
 
     def test_stabilize_before_init_exits_2(self, tmp_path, sim_dir):
         rc = main([

@@ -561,7 +561,7 @@ class TestRunStore:
 
     def test_empty_store_has_no_reference(self, tmp_path):
         store = RunStore(tmp_path / "fresh")
-        store.init()
+        store.runs_dir.mkdir(parents=True)
         assert store.latest_reference_id() is None
         with pytest.raises(UnknownRun):
             store.reference_space()
