@@ -8,13 +8,9 @@ Diagnostics go to standard error, a warning as one `warning: <message>` line;
 data goes to files. Exit codes: 0 success; 3 for CorruptFile, OSError or
 MemoryError, an I/O error (including a malformed run `meta` or a run file
 whose digest differs from it) or out of memory; 2 for every other
-EmbStabError, a validation error (bad dimensions, unknown run ids, an
-unsafe `--run-id`, insufficient overlap, a run with no live direction, a
-zero-norm row in a compared run, a `--top-k` below 1, an `--rbo-p` outside
-(0, 1), a `simulate --runs` below 0, a non-numeric or out-of-range config
-value such as `dim` above `n_items`, a stale reference, a second `init`, a
-map holding NaN or Inf, or an `init`, `stabilize` or `apply` input holding
-NaN, Inf or a repeated id).
+EmbStabError, a validation error such as bad dimensions, a stale reference,
+an input holding NaN, Inf or a repeated id, or a map that makes an output
+row NaN or Inf. README's "CLI pipeline" lists every case.
 """
 
 from __future__ import annotations
@@ -195,11 +191,11 @@ def _checked_rows(role, count: int, chunks):
     has checked the digest, rows that read_embeddings refuses raise what it
     raises, found in a copy of the ids (8 bytes a row)."""
     ids, finite, start = np.empty(count, dtype=np.uint64), True, 0
-    for chunk in chunks:
-        finite = finite and bool(np.all(np.isfinite(chunk["vec"])))
-        ids[start : start + len(chunk)] = chunk["id"]
-        start += len(chunk)
-        yield chunk["id"], chunk["vec"]
+    for chunk_ids, vectors in chunks:
+        finite = finite and bool(np.all(np.isfinite(vectors)))
+        ids[start : start + len(chunk_ids)] = chunk_ids
+        start += len(chunk_ids)
+        yield chunk_ids, vectors
     ids.sort()
     _refuse_rows(role, ids, finite)
 

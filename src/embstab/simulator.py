@@ -10,7 +10,8 @@ independent substream keyed by (seed, run_index).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,36 +61,11 @@ class SimConfig:
                 f"vocab_drop_fraction must lie in [0, 1), got {self.vocab_drop_fraction}"
             )
 
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "SimConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = set(mapping) - set(known)
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key, raw in mapping.items():
-            if key == "rotation":
-                kwargs[key] = raw if isinstance(raw, Rotation) else Rotation.parse(raw)
-                continue
-            number = float if key in ("noise_scale", "vocab_drop_fraction") else int
-            try:
-                if isinstance(raw, (bool, np.bool_)):
-                    raise TypeError("bool is not a number here")
-                kwargs[key] = number(raw)
-                # Config-file strings parse as before; a number must not round.
-                if number is int and not isinstance(raw, str) and kwargs[key] != raw:
-                    raise ValueError("would round")
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidConfig(f"{key}: expected {number.__name__}, got {raw!r}") from exc
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise InvalidConfig(str(exc)) from exc
-
 
 def load_sim_config(path) -> SimConfig:
-    """Parse a flat `key = value` config file (# starts a comment)."""
-    mapping: dict = {}
+    """Parse a flat `key = value` config file (# starts a comment) into a
+    SimConfig, each value as its field's annotated type: int, float or Rotation."""
+    values: dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -97,8 +73,23 @@ def load_sim_config(path) -> SimConfig:
         if "=" not in text:
             raise InvalidConfig(f"{path}:{lineno}: expected `key = value`, got {line!r}")
         key, _, value = text.partition("=")
-        mapping[key.strip()] = value.strip()
-    return SimConfig.from_mapping(mapping)
+        values[key.strip()] = value.strip()
+    types = typing.get_type_hints(SimConfig)
+    if unknown := set(values) - set(types):
+        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+    kwargs: dict = {}
+    for key, value in values.items():
+        kind = types[key]
+        try:
+            kwargs[key] = Rotation.parse(value) if kind is Rotation else kind(value)
+        except InvalidConfig:  # an unknown rotation, with its own message
+            raise
+        except ValueError as exc:
+            raise InvalidConfig(f"{key}: expected {kind.__name__}, got {value!r}") from exc
+    try:
+        return SimConfig(**kwargs)
+    except TypeError as exc:
+        raise InvalidConfig(str(exc)) from exc
 
 
 def _substream(seed: int, run_index: int) -> np.random.Generator:

@@ -13,14 +13,16 @@ Embedding file (.emb), all little-endian:
     digest    32 bytes sha256 of all preceding bytes
 
 open_embeddings and write_embedding_chunks are the only .emb codec: the
-library, RunStore and the CLI's `apply` all stream records through them, at
-most CHUNK_ROWS records at a time. Each side keeps one helper thread
-(lowrank._Behind) busy behind its caller: the reader hashes chunk i while
-the caller works on it and the next read fills a second buffer; the writer
-writes and hashes chunk i while the caller fills chunk i+1 in a second
-buffer. So a streamed `apply` holds at most two input and two output chunk
-buffers, besides its copy of the ids, and runs at most LANES + 2 threads.
-Each helper is joined before its stream ends, raises or is abandoned.
+library, RunStore and the CLI's `apply` all stream rows through them as
+(ids, vectors) pairs, at most CHUNK_ROWS rows at a time. Each side keeps
+one helper thread (lowrank._Behind) busy behind its caller: the reader
+hashes chunk i while the caller works on it and the next read fills a
+second buffer; the writer writes and hashes chunk i while the caller fills
+chunk i+1 in a second buffer. So a streamed `apply` holds at most two input
+and two output chunk buffers, besides its copy of the ids, and runs at most
+LANES + 2 threads. Each helper is joined before its stream ends, raises or
+is abandoned. Both formats are read by _open_sealed, which checks the header
+before any body byte and the trailing digest after the last.
 
 Transform file (.olt), all little-endian:
 
@@ -96,25 +98,53 @@ def _record_dtype(dim: int, precision: int) -> np.dtype:
 
 
 @contextmanager
+def _open_sealed(path, magic: bytes, layout: struct.Struct):
+    """The one reader of .emb and .olt files: checks magic and version before
+    any body byte, then yields the other header fields, the size from fstat,
+    fill(buf, behind), which reads the next buf.nbytes body bytes into buf
+    and hashes them (behind, on a helper thread), and seal(), the digest check."""
+    with open(path, "rb") as fh, _Behind() as helper:
+        header = fh.read(layout.size)
+        if len(header) < layout.size:
+            raise CorruptFile(f"{path}: truncated header")
+        found, version, *fields = layout.unpack(header)
+        if found != magic:
+            raise CorruptFile(f"{path}: bad magic {found!r}")
+        if version != FORMAT_VERSION:
+            raise CorruptFile(f"{path}: unsupported format version {version}")
+        digest = hashlib.sha256(header)
+
+        def fill(buf, behind: bool):
+            if fh.readinto(buf) != buf.nbytes:
+                raise CorruptFile(f"{path}: truncated body")
+            if behind:
+                helper.submit(digest.update, buf)
+            else:
+                digest.update(buf)
+            return buf
+
+        def seal() -> None:
+            helper.wait()
+            if fh.read(DIGEST_SIZE + 1) != digest.digest():
+                raise CorruptFile(f"{path}: checksum mismatch")
+
+        yield fields, os.fstat(fh.fileno()).st_size, fill, seal
+
+
+@contextmanager
 def open_embeddings(path):
-    """The one .emb reader. Parses the header and checks it against the file
-    size before anything is allocated, then yields (role, precision, count,
-    dim, chunks); chunks yields the records in order, at most CHUNK_ROWS at
-    a time, as read-only views, and checks the digest after the last.
+    """The one .emb reader. Checks the header, and the file size against it,
+    before anything is allocated, then yields (role, precision, count, dim,
+    chunks); chunks yields the rows in file order as read-only (ids,
+    vectors) pairs of at most CHUNK_ROWS rows, and checks the digest after
+    the last.
 
     A helper thread feeds chunk i to sha256 while the caller works on it,
     and the next read fills a second buffer with chunk i+1, so a chunk
     stays valid until the caller asks for the one after next. Leaving the
-    block stops and joins the helper."""
-    with open(path, "rb") as fh:
-        header = fh.read(_EMB_HEADER.size)
-        if len(header) < _EMB_HEADER.size:
-            raise CorruptFile(f"{path}: truncated header")
-        magic, version, role_byte, precision, count, dim, reserved = _EMB_HEADER.unpack(header)
-        if magic != EMB_MAGIC:
-            raise CorruptFile(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise CorruptFile(f"{path}: unsupported format version {version}")
+    block joins the helper."""
+    with _open_sealed(path, EMB_MAGIC, _EMB_HEADER) as (fields, size, fill, seal):
+        role_byte, precision, count, dim, reserved = fields
         if role_byte not in (role.value for role in Role):
             raise CorruptFile(f"{path}: unknown role byte {role_byte}")
         if precision not in _PRECISION_TO_DTYPE:
@@ -125,29 +155,18 @@ def open_embeddings(path):
             record = _record_dtype(dim, precision)
         except ValueError as exc:  # numpy caps a record at a C int of bytes
             raise CorruptFile(f"{path}: unsupported width {dim}") from exc
-        size = os.fstat(fh.fileno()).st_size
         expected = _EMB_HEADER.size + count * record.itemsize + DIGEST_SIZE
         if size != expected:
             raise CorruptFile(f"{path}: size {size} != expected {expected}")
 
         def chunks():
-            digest = hashlib.sha256(header)
             buffers = _chunk_buffers(count, record)
-            with _Behind() as helper:
-                for start in range(0, count, CHUNK_ROWS):
-                    chunk = next(buffers)[: min(CHUNK_ROWS, count - start)]
-                    if fh.readinto(chunk) != chunk.nbytes:
-                        raise CorruptFile(f"{path}: truncated records")
-                    helper.submit(digest.update, chunk)
-                    yield _readonly(chunk)
-            if fh.read(DIGEST_SIZE + 1) != digest.digest():
-                raise CorruptFile(f"{path}: checksum mismatch")
+            for start in range(0, count, CHUNK_ROWS):
+                chunk = _readonly(fill(next(buffers)[: min(CHUNK_ROWS, count - start)], True))
+                yield chunk["id"], chunk["vec"]
+            seal()
 
-        records = chunks()
-        try:
-            yield Role(role_byte), precision, count, dim, records
-        finally:
-            records.close()
+        yield Role(role_byte), precision, count, dim, chunks()
 
 
 def _chunk_buffers(count: int, record: np.dtype):
@@ -209,12 +228,13 @@ def write_embedding_chunks(
     _write_sealed writes each while the next is packed. A piece's vectors
     go into its records' `vec` field, cast to the file precision: as they
     are, or times `transform` (`dim` columns) by the apply kernel, straight
-    into the records. `chunks` is read to its end before the file
-    is sealed. Returns the hex sha256 of the file body."""
+    into the records. `chunks` is read to its end before the file is
+    sealed, and then NonFinite is raised, leaving `path` as it was, if the
+    map made a row NaN or Inf. Returns the hex sha256 of the file body."""
 
     def records():
         buffers = _chunk_buffers(count, _record_dtype(dim, precision))
-        written = 0
+        written, finite = 0, True
         for ids, vectors in chunks:
             for start in range(0, len(ids), CHUNK_ROWS):
                 n = min(CHUNK_ROWS, len(ids) - start)
@@ -224,10 +244,13 @@ def write_embedding_chunks(
                     np.copyto(rec["vec"], vectors[start : start + n])
                 else:
                     rowwise_matmul(vectors[start : start + n], transform, rec["vec"])
+                    finite = finite and bool(np.all(np.isfinite(rec["vec"])))
                 written += n
                 yield rec
         if written != count:
             raise ValueError(f"{path}: {written} rows written, {count} declared")
+        if not finite:
+            raise NonFinite(f"{path}: {role.name.lower()} vectors through the map hold NaN or Inf")
 
     header = _EMB_HEADER.pack(
         EMB_MAGIC, FORMAT_VERSION, role.value, precision, count, dim, 0
@@ -249,10 +272,10 @@ def read_embeddings(path) -> EmbeddingMatrix:
         ids = np.empty(count, dtype=np.uint64)
         vectors = np.empty((count, dim), dtype=_PRECISION_TO_DTYPE[precision])
         start = 0
-        for chunk in chunks:
-            ids[start : start + len(chunk)] = chunk["id"]
-            vectors[start : start + len(chunk)] = chunk["vec"]
-            start += len(chunk)
+        for chunk_ids, chunk_vectors in chunks:
+            ids[start : start + len(chunk_ids)] = chunk_ids
+            vectors[start : start + len(chunk_ids)] = chunk_vectors
+            start += len(chunk_ids)
     return EmbeddingMatrix(role, ids, vectors)
 
 
@@ -269,26 +292,14 @@ def write_transform(matrix, path) -> str:
 
 
 def read_transform(path) -> np.ndarray:
-    """Read a .olt transform back, verifying structure, checksum and that
-    every entry is finite."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _TRF_HEADER.size + DIGEST_SIZE:
-        raise CorruptFile(f"{path}: truncated file")
-    magic, version, rows = _TRF_HEADER.unpack(raw[: _TRF_HEADER.size])
-    if magic != TRF_MAGIC:
-        raise CorruptFile(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise CorruptFile(f"{path}: unsupported format version {version}")
-    body, digest = raw[:-DIGEST_SIZE], raw[-DIGEST_SIZE:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CorruptFile(f"{path}: checksum mismatch")
-    payload = body[_TRF_HEADER.size :]
-    if rows == 0 or len(payload) % 8 != 0 or (len(payload) // 8) % rows != 0:
-        raise CorruptFile(f"{path}: payload length {len(payload)} does not fit dim {rows}")
-    cols = len(payload) // 8 // rows
-    if cols == 0:
-        raise CorruptFile(f"{path}: empty payload for dim {rows}")
-    m = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    """Read a .olt transform back, checking its header and its size against
+    the row count before the payload, then its checksum and finiteness."""
+    with _open_sealed(path, TRF_MAGIC, _TRF_HEADER) as ((rows,), size, fill, seal):
+        payload = size - _TRF_HEADER.size - DIGEST_SIZE
+        if rows == 0 or payload <= 0 or payload % (8 * rows):
+            raise CorruptFile(f"{path}: payload length {payload} does not fit dim {rows}")
+        m = fill(np.empty((rows, payload // 8 // rows), dtype="<f8"), False)
+        seal()
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{path}: transform contains NaN or Inf")
     return m

@@ -16,6 +16,7 @@ import pytest
 from embstab import (
     EmbeddingMatrix,
     Role,
+    RunStore,
     apply_transform,
     read_embeddings,
     read_transform,
@@ -171,6 +172,39 @@ class TestInit:
         assert "latest_ref names 'run1'" in err
         assert sorted(store_with_two_runs.rglob("*")) == before
         assert (store_with_two_runs / "latest_ref").read_text() == "run1\n"
+
+    def test_stabilized_pair_past_float32_exits_2_and_a_retry_commits(self, tmp_path, capsys):
+        """Finite float32 inputs near the float32 limit whose stabilized pair
+        is not finite in float32: no run is listed and no pointer written,
+        and the same run id then commits from finite inputs."""
+        gen = np.random.default_rng(30)
+        big = [(gen.uniform(-1, 1, (rows, 8)) * 3e38).astype(np.float32) for rows in (64, 48)]
+        pairs = {
+            "big_": (EmbeddingMatrix.of_items(big[0]), EmbeddingMatrix.of_users(big[1])),
+            "": random_pair(64, 48, 8, seed=31, dtype=np.float32),
+        }
+        for prefix, (items, users) in pairs.items():
+            write_embeddings(items, tmp_path / f"{prefix}items.emb")
+            write_embeddings(users, tmp_path / f"{prefix}users.emb")
+        store = tmp_path / "store"
+
+        def init(prefix):
+            return main([
+                "init", "--items", str(tmp_path / f"{prefix}items.emb"),
+                "--users", str(tmp_path / f"{prefix}users.emb"), "--run-id", "r0", "--out", str(store),
+            ])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of the cast
+            assert init("big_") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "NaN or Inf" in err
+        assert RunStore(store).list_runs() == []
+        assert not (store / "latest_ref").exists()
+        assert init("") == 0
+        assert RunStore(store).list_runs() == ["r0"]
+        assert (store / "latest_ref").read_text() == "r0\n"
+        RunStore(store).validate_record(RunStore(store).load_record("r0"))
 
     @pytest.mark.parametrize("run_id", ["../evil", "a/b", ".hidden"])
     def test_unsafe_run_id_exits_2_and_creates_no_store(self, tmp_path, sim_dir, capsys, run_id):
@@ -971,6 +1005,28 @@ class TestApply:
         assert "NaN or Inf" in capsys.readouterr().err
         assert (tmp_path / "out.emb").read_bytes() == b"previous output"
         assert not (tmp_path / "out.emb.tmp").exists()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_past_the_precision_range_exits_2_and_writes_no_out(
+        self, tmp_path, capsys, dtype
+    ):
+        """Four finite rows that a finite map carries past the largest value
+        of the file precision: no file that read_embeddings refuses is
+        written."""
+        big = np.finfo(dtype).max / 2
+        write_embeddings(EmbeddingMatrix.of_users(np.full((4, 8), big, dtype=dtype)),
+                         tmp_path / "in.emb")
+        write_transform(4 * np.eye(8), tmp_path / "m.olt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of the cast
+            rc = main([
+                "apply", "--emb", str(tmp_path / "in.emb"),
+                "--transform", str(tmp_path / "m.olt"), "--out", str(tmp_path / "out.emb"),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "NaN or Inf" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.emb", "m.olt"]
 
     def refused_input_keeps_out(self, tmp_path, capsys, ids, vectors, error):
         """apply of rows that read_embeddings refuses exits 2 with its error

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,15 @@ from embstab import (
     load_sim_config,
     mean_same_id_cosine,
 )
+from embstab.cli import main
 from embstab.errors import InvalidConfig
 from embstab.simulator import haar_orthogonal
+
+
+SIM_LINES = {
+    "n_items": "50", "n_users": "40", "dim": "8", "noise_scale": "0.1",
+    "rotation": "orthogonal", "vocab_drop_fraction": "0.0", "seed": "3",
+}
 
 
 def cfg(**overrides):
@@ -39,35 +48,6 @@ class TestSimConfig:
     def test_invalid(self, overrides):
         with pytest.raises(InvalidConfig):
             cfg(**overrides)
-
-    def test_from_mapping_rejects_unknown_keys(self):
-        with pytest.raises(InvalidConfig):
-            SimConfig.from_mapping({"n_items": 5, "n_users": 5, "dim": 2, "bogus": 1})
-
-    def test_from_mapping_requires_mandatory_keys(self):
-        with pytest.raises(InvalidConfig):
-            SimConfig.from_mapping({"n_items": 5})
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("dim", 8.5),
-            ("dim", True),
-            ("n_items", np.float64(50.5)),
-            ("seed", False),
-            ("n_users", np.True_),
-            ("dim", float("inf")),
-            ("noise_scale", True),
-        ],
-    )
-    def test_from_mapping_rejects_bools_and_rounding(self, key, value):
-        mapping = {"n_items": 50, "n_users": 40, "dim": 8, key: value}
-        with pytest.raises(InvalidConfig, match=key):
-            SimConfig.from_mapping(mapping)
-
-    def test_from_mapping_takes_integral_numbers_and_strings(self):
-        mapping = {"n_items": 50.0, "n_users": np.int64(40), "dim": "8", "noise_scale": 1}
-        assert SimConfig.from_mapping(mapping) == cfg(seed=0, noise_scale=1.0)
 
     def test_rotation_parse(self):
         assert Rotation.parse("Orthogonal") is Rotation.ORTHOGONAL
@@ -105,6 +85,52 @@ class TestConfigFile:
         path.write_text("n_items 50\n")
         with pytest.raises(InvalidConfig):
             load_sim_config(path)
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("dim", "8.5", "dim: expected int, got '8.5'"),
+            ("dim", "True", "dim: expected int, got 'True'"),
+            ("dim", "inf", "dim: expected int, got 'inf'"),
+            ("seed", "inf", "seed: expected int, got 'inf'"),
+            ("noise_scale", "abc", "noise_scale: expected float, got 'abc'"),
+            ("noise_scale", "True", "noise_scale: expected float, got 'True'"),
+            ("bogus", "1", "unknown config keys: ['bogus']"),
+            ("dim", None, "SimConfig.__init__() missing 1 required positional argument: 'dim'"),
+            ("rotation", "diagonal", "unknown rotation 'diagonal'"),
+        ],
+        ids=["dim-8.5", "dim-True", "dim-inf", "seed-inf", "noise_scale-abc", "noise_scale-True",
+             "unknown_key", "no_dim", "rotation-diagonal"],
+    )
+    def test_rejected_file_exits_2_with_its_message(self, tmp_path, capsys, key, value, message):
+        """Each value a config file can hold that SimConfig refuses: the
+        library raises InvalidConfig, and `simulate` exits 2 with that one
+        line and creates no --out. `value` None drops the key."""
+        lines = {**SIM_LINES, key: value}
+        if value is None:
+            del lines[key]
+        path = tmp_path / "sim.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        with pytest.raises(InvalidConfig) as refused:
+            load_sim_config(path)
+        assert str(refused.value) == message
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--runs", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_every_field_parses_as_its_annotated_type(self, tmp_path):
+        """Each field, written in its string form, comes back with the type
+        SimConfig annotates it with; a float field is given a value that
+        int() refuses, so a float field read as an int fails here."""
+        forms = {"int": ("7", 7), "float": ("0.25", 0.25),
+                 "Rotation": ("General_Invertible", Rotation.GENERAL_INVERTIBLE)}
+        path = tmp_path / "sim.cfg"
+        path.write_text("".join(f"{f.name} = {forms[f.type][0]}\n" for f in fields(SimConfig)))
+        c = load_sim_config(path)
+        for f in fields(SimConfig):
+            value = getattr(c, f.name)
+            assert type(value) is type(forms[f.type][1]) and value == forms[f.type][1], f.name
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "sim.cfg"

@@ -46,7 +46,7 @@ from embstab.errors import (
 )
 from embstab.cli import main
 from embstab.stabilizer import StabilizedRun
-from embstab.store import write_embedding_chunks
+from embstab.store import open_embeddings, write_embedding_chunks
 from conftest import (
     DAMAGED_FILE,
     MALFORMED_META,
@@ -210,6 +210,38 @@ class TestChunkedCodec:
         path.write_bytes(header + hashlib.sha256(header).digest())
         with pytest.raises(CorruptFile, match="width"):
             read_embeddings(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_are_read_only_pairs_in_file_order(self, tmp_path, monkeypatch, dtype):
+        emb = sample_emb(n=40, dim=3, dtype=dtype, seed=4)
+        write_embeddings(emb, tmp_path / "e.emb")
+        monkeypatch.setattr(embstab.store, "CHUNK_ROWS", 7)
+        with open_embeddings(tmp_path / "e.emb") as (role, precision, count, dim, chunks):
+            assert (role, precision, count, dim) == (emb.role, np.dtype(dtype).itemsize, 40, 3)
+            start = 0
+            for ids, vectors in chunks:
+                assert len(ids) == len(vectors) == min(7, 40 - start)
+                assert ids.dtype == np.uint64 and (vectors.dtype, vectors.shape[1]) == (dtype, 3)
+                assert not ids.flags.writeable and not vectors.flags.writeable
+                assert np.array_equal(ids, emb.ids[start : start + len(ids)])
+                assert vectors.tobytes() == emb.vectors[start : start + len(ids)].tobytes()
+                start += len(ids)
+        assert start == 40
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transformed_row_out_of_range_is_not_written(self, tmp_path, dtype):
+        """A map that carries a finite row past the largest value of the
+        file precision raises NonFinite once the rows are drained, and
+        leaves no file."""
+        vectors = np.full((40, 3), np.finfo(dtype).max / 2, dtype=dtype)
+        ids = np.arange(40, dtype=np.uint64)
+        with pytest.raises(NonFinite, match="NaN or Inf"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of the cast
+            write_embedding_chunks(
+                tmp_path / "e.emb", Role.USER, vectors.dtype.itemsize, 40, 3,
+                [(ids, vectors)], 4 * np.eye(3),
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         emb = sample_emb(n=5)
@@ -425,6 +457,40 @@ class TestTransformFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptFile):
             read_transform(path)
+
+    def test_embedding_file_is_refused_before_its_body_is_read(self, tmp_path):
+        users = EmbeddingMatrix.of_users(np.ones((160_000, 16)))
+        path = tmp_path / "users.emb"
+        write_embeddings(users, path)
+        assert path.stat().st_size >= 20_000_000
+        del users
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFile, match="bad magic"):
+                read_transform(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda raw: raw[:-1], id="one_byte_short"),
+        pytest.param(lambda raw: raw[:-40], id="digest_and_an_entry_short"),
+        pytest.param(lambda raw: raw + b"\0", id="one_byte_over"),
+        pytest.param(lambda raw: raw[:12], id="header_and_two_bytes"),
+    ])
+    def test_size_not_fitting_dim_is_refused_before_the_payload_is_read(self, tmp_path, cut):
+        path = tmp_path / "t.olt"
+        write_transform(np.ones((1024, 1024)), path)
+        path.write_bytes(cut(path.read_bytes()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFile, match="payload"):
+                read_transform(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(
         rows=st.integers(min_value=1, max_value=10),
