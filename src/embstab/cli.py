@@ -31,7 +31,7 @@ from .errors import (
     InvalidConfig,
 )
 from .lowrank import _refuse_rows, apply_transform
-from .metrics import RBO_DEPTH, RBO_PERSISTENCE, MetricsReport, compare_runs, write_report
+from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
 from .store import (
@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-b", required=True)
     p.add_argument("--store", required=True, help="store root directory")
     p.add_argument("--raw", action="store_true", help="compare raw instead of stabilized")
-    p.add_argument("--top-k", type=int, default=RBO_DEPTH)
-    p.add_argument("--rbo-p", type=float, default=RBO_PERSISTENCE)
     p.add_argument("--out", default=None, help="report directory (default: store reports/)")
     p.set_defaults(func=_cmd_validate)
 
@@ -155,7 +153,7 @@ def _cmd_validate(args) -> int:
     store = RunStore(args.store)
     sides = [side for run_id in (args.run_a, args.run_b)
              for side in _pair(store.load_run(run_id), args.raw)]
-    report = compare_runs(*sides, top_k=args.top_k, p=args.rbo_p)
+    report = compare_runs(*sides)
     out_dir = (
         Path(args.out)
         if args.out

@@ -36,8 +36,8 @@ class DuplicateId(EmbStabError):
 
 
 class InvalidConfig(EmbStabError, ValueError):
-    """A simulation config field, a `simulate --runs` below 0, a ranking depth
-    or an RBO persistence outside (0, 1) violates its constraints."""
+    """A value out of range: a simulation config field, a `simulate --runs`
+    below 0, or a metrics.rbo depth below 1 or persistence outside (0, 1)."""
 
 
 class InvalidRunId(EmbStabError):

@@ -5,8 +5,9 @@ Cosine similarity over the id intersection measures whether the same
 entity keeps pointing in the same direction across runs. Rank-biased
 overlap (RBO) measures whether a user's top-k item ranking, scored against
 a fixed item set, stays the same when the user's vector comes from a
-different run. Both are near zero for raw retrained embeddings and near
-one after stabilization.
+different run; every comparison takes it at depth RBO_DEPTH and
+persistence RBO_PERSISTENCE. Both are near zero for raw retrained
+embeddings and near one after stabilization.
 
 Rankings are computed a block of users at a time, in memory bounded by
 SCORE_BLOCK_ELEMENTS rather than by users x items: an exact top-k by
@@ -40,8 +41,8 @@ from .lowrank import EmbeddingMatrix, _in_lanes, _join
 # rank_correlation_report scores max(1, this // n_items) users at a time.
 SCORE_BLOCK_ELEMENTS = 1 << 20
 
-# The default RBO depth (top-k) and persistence p, of the library and of
-# `validate --top-k`/`--rbo-p` alike.
+# The RBO depth (top-k) and persistence p of every ranking comparison, read
+# at each call; p = 0.9 is the usual setting (Webber, Moffat and Zobel, 2010).
 RBO_DEPTH = 100
 RBO_PERSISTENCE = 0.9
 
@@ -58,18 +59,13 @@ class MetricsReport:
     rbo_persistence: float
     rbo_depth: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_flat_text(self) -> str:
-        """One `metric = value` line per field."""
-        return "".join(f"{k} = {v!r}\n" for k, v in self.to_dict().items())
-
 
 def write_report(report: MetricsReport, text_path, json_path) -> None:
-    """Serialize a report as the flat key-value document and as JSON."""
-    Path(text_path).write_text(report.to_flat_text())
-    Path(json_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    """Serialize a report, one field per entry in field order: as a flat
+    `metric = value` document, each value its repr, and as JSON."""
+    fields = asdict(report)
+    Path(text_path).write_text("".join(f"{k} = {v!r}\n" for k, v in fields.items()))
+    Path(json_path).write_text(json.dumps(fields, indent=2) + "\n")
 
 
 def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, int]:
@@ -96,13 +92,6 @@ def mean_same_id_cosine(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[float, 
         raise ZeroNormRow(f"zero-norm row for id {int(shared[dead][0])}")
     cosines = np.sum(va * vb, axis=1) / (na * nb)
     return math.fsum(cosines) / cosines.size, int(cosines.size)
-
-
-def _check_ranking(depth, p) -> None:
-    if not 0.0 < p < 1.0:
-        raise InvalidConfig(f"persistence must lie in (0, 1), got {p}")
-    if depth < 1:
-        raise InvalidConfig(f"depth must be >= 1, got {depth}")
 
 
 def _rbo_rows(ranked_a: np.ndarray, ranked_b: np.ndarray, p: float) -> np.ndarray:
@@ -144,7 +133,10 @@ def rbo(list_a, list_b, p: float = RBO_PERSISTENCE, depth: int = RBO_DEPTH) -> f
     (prefixes disjoint at every depth) to 1 (lists agree on every prefix).
     Larger p weights deeper ranks more heavily.
     """
-    _check_ranking(depth, p)
+    if not 0.0 < p < 1.0:
+        raise InvalidConfig(f"persistence must lie in (0, 1), got {p}")
+    if depth < 1:
+        raise InvalidConfig(f"depth must be >= 1, got {depth}")
     la = [int(x) for x in list_a]
     lb = [int(x) for x in list_b]
     if len(set(la)) != len(la) or len(set(lb)) != len(lb):
@@ -179,17 +171,14 @@ def _top_k_columns(neg_scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def rank_correlation_report(
-    items_ref: EmbeddingMatrix,
-    users_a: EmbeddingMatrix,
-    users_b: EmbeddingMatrix,
-    top_k: int = RBO_DEPTH,
-    p: float = RBO_PERSISTENCE,
+    items_ref: EmbeddingMatrix, users_a: EmbeddingMatrix, users_b: EmbeddingMatrix
 ) -> tuple[float, int]:
     """Mean RBO between each shared user's top-k item rankings under two runs.
 
     Every shared user scores all reference items by dot product twice, once
     with its vector from each run; the two descending rankings (ties broken
-    by ascending item id) are compared with rbo at depth top_k. Users are
+    by ascending item id) are compared by RBO at depth RBO_DEPTH and
+    persistence RBO_PERSISTENCE, both read when called. Users are
     scored a block of rows at a time, so memory is bounded by LANES times
     SCORE_BLOCK_ELEMENTS and not by users x items. The blocks run in pairs
     on the lanes and their RBO values are summed in block order; every
@@ -197,7 +186,6 @@ def rank_correlation_report(
     is the same at any lane count. Returns (mean over users, number of
     users compared).
     """
-    _check_ranking(top_k, p)
     if items_ref.dim != users_a.dim or items_ref.dim != users_b.dim:
         raise DimensionMismatch(
             f"widths differ: items {items_ref.dim}, users {users_a.dim} and {users_b.dim}"
@@ -212,7 +200,7 @@ def rank_correlation_report(
     # since ids are unique. Negating the items negates every score exactly.
     item_order = np.argsort(items_ref.ids, kind="stable")
     neg_items_t = -items_ref.vectors.astype(np.float64, copy=False)[item_order].T
-    k = min(top_k, items_ref.n)
+    k, p = min(RBO_DEPTH, items_ref.n), RBO_PERSISTENCE
     rows = max(1, SCORE_BLOCK_ELEMENTS // max(1, items_ref.n))
 
     def block_rbo(block: slice) -> np.ndarray:
@@ -228,25 +216,20 @@ def rank_correlation_report(
 
 
 def compare_runs(
-    items_a: EmbeddingMatrix,
-    users_a: EmbeddingMatrix,
-    items_b: EmbeddingMatrix,
-    users_b: EmbeddingMatrix,
-    top_k: int = RBO_DEPTH,
-    p: float = RBO_PERSISTENCE,
+    items_a: EmbeddingMatrix, users_a: EmbeddingMatrix,
+    items_b: EmbeddingMatrix, users_b: EmbeddingMatrix,
 ) -> MetricsReport:
     """Full two-run comparison: same-user cosine, same-item cosine, and mean
-    RBO of rankings against run A's items."""
-    _check_ranking(top_k, p)
+    RBO of rankings against run A's items, at RBO_DEPTH and RBO_PERSISTENCE."""
     user_cos, n_users = mean_same_id_cosine(users_a, users_b)
     item_cos, n_items = mean_same_id_cosine(items_a, items_b)
-    mean_rbo, _ = rank_correlation_report(items_a, users_a, users_b, top_k=top_k, p=p)
+    mean_rbo, _ = rank_correlation_report(items_a, users_a, users_b)
     return MetricsReport(
         mean_user_cosine=user_cos,
         mean_item_cosine=item_cos,
         mean_rbo=mean_rbo,
         n_users_compared=n_users,
         n_items_compared=n_items,
-        rbo_persistence=p,
-        rbo_depth=top_k,
+        rbo_persistence=RBO_PERSISTENCE,
+        rbo_depth=RBO_DEPTH,
     )

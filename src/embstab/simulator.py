@@ -54,8 +54,8 @@ class SimConfig:
                 f"dim {self.dim} exceeds min(n_items, n_users) = "
                 f"{min(self.n_items, self.n_users)}"
             )
-        if self.noise_scale < 0:
-            raise InvalidConfig(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < np.inf:
+            raise InvalidConfig(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if not 0.0 <= self.vocab_drop_fraction < 1.0:
             raise InvalidConfig(
                 f"vocab_drop_fraction must lie in [0, 1), got {self.vocab_drop_fraction}"

@@ -52,7 +52,8 @@ and renames it over `latest_ref`. Readers never block. A commit that fails
 anywhere else lists no new run and leaves the pointer; one that fails while
 syncing `runs/` leaves the run listed but not latest, and a retry advancing
 the same record syncs `runs/` and moves the pointer. Either way a retry
-under its id works.
+under its id works, and no staging directory is left: a commit removes its
+own however it ends, and first sweeps any that a killed writer left.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import os
 import re
 import shutil
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -371,7 +372,7 @@ class RunStore:
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         staging = self.runs_dir / f".staging-{run.run_id}"
         pointer = self.root / "latest_ref.tmp"
-        with open(self.root / "save.lock", "w") as lock:
+        with open(self.root / "save.lock", "w") as lock, ExitStack() as on_exit:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             built_on = None if run.reference_run_id == run.run_id else run.reference_run_id
             swaps = built_on == (latest := self.latest_reference_id())
@@ -383,8 +384,12 @@ class RunStore:
                 raise StaleReference(
                     f"run {run.run_id!r} is built on {built_on!r}; latest_ref names {latest!r}"
                 )
-            shutil.rmtree(staging, ignore_errors=True)
+            # Under the lock no other writer holds a staging directory, so any
+            # found is a killed writer's; this commit's own goes however it ends.
+            for left in self.runs_dir.glob(".staging-*"):
+                shutil.rmtree(left, ignore_errors=True)
             staging.mkdir()
+            on_exit.callback(shutil.rmtree, staging, ignore_errors=True)
 
             def stabilized(raw: EmbeddingMatrix, transform, name: str) -> str:
                 return write_embedding_chunks(
@@ -410,7 +415,6 @@ class RunStore:
                 files=files,
             )
             if stored:  # a retry past the rename: the staged copy only serves to compare
-                shutil.rmtree(staging)
                 kept = self.load_record(run.run_id)
                 if replace(record, created_at=kept.created_at) != kept:
                     raise taken

@@ -26,7 +26,6 @@ from embstab import (
 import embstab.cli
 import embstab.errors
 import embstab.lowrank
-import embstab.metrics
 import embstab.store
 from embstab.cli import main
 from embstab.errors import (
@@ -201,6 +200,7 @@ class TestInit:
         assert err.startswith("error: ") and err.count("\n") == 1 and "NaN or Inf" in err
         assert RunStore(store).list_runs() == []
         assert not (store / "latest_ref").exists()
+        assert not list((store / "runs").glob(".staging-*"))
         assert init("") == 0
         assert RunStore(store).list_runs() == ["r0"]
         assert (store / "latest_ref").read_text() == "r0\n"
@@ -865,29 +865,17 @@ class TestValidate:
         assert err.count("\n") == 1
         assert "298. GiB" in err
 
-    @pytest.mark.parametrize(
-        "option", [["--top-k", "0"], ["--top-k", "-3"], ["--rbo-p", "1.5"]]
-    )
-    def test_bad_ranking_option_exits_2_before_scoring(
-        self, tmp_path, store_with_two_runs, monkeypatch, capsys, option
-    ):
-        def never(*args, **kwargs):
-            raise AssertionError("scored before the options were checked")
-
-        monkeypatch.setattr(embstab.metrics, "mean_same_id_cosine", never)
-        monkeypatch.setattr(embstab.metrics, "rank_correlation_report", never)
+    @pytest.mark.parametrize("option", [["--top-k", "5"], ["--rbo-p", "0.5"]])
+    def test_ranking_is_not_an_option(self, tmp_path, store_with_two_runs, capsys, option):
+        # Rankings use one depth and persistence: argparse refuses either flag.
         out = tmp_path / "rep"
-        rc = main([
-            "validate", "--run-a", "run0", "--run-b", "run1",
-            "--store", str(store_with_two_runs), "--out", str(out), *option,
-        ])
-        assert rc == 2
-        flag, value = option
-        message = {
-            "--top-k": f"depth must be >= 1, got {value}",
-            "--rbo-p": f"persistence must lie in (0, 1), got {value}",
-        }[flag]
-        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(SystemExit) as refused:
+            main([
+                "validate", "--run-a", "run0", "--run-b", "run1",
+                "--store", str(store_with_two_runs), "--out", str(out), *option,
+            ])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_files_and_flat_format(self, tmp_path, store_with_two_runs):
@@ -895,14 +883,13 @@ class TestValidate:
         main([
             "validate", "--run-a", "run0", "--run-b", "run1",
             "--store", str(store_with_two_runs), "--out", str(out),
-            "--top-k", "25", "--rbo-p", "0.8",
         ])
         text = (out / "report.txt").read_text()
         assert "mean_rbo = " in text
-        assert "rbo_depth = 25" in text
-        assert "rbo_persistence = 0.8" in text
+        assert "rbo_depth = 100\n" in text
+        assert "rbo_persistence = 0.9\n" in text
         report = json.loads((out / "report.json").read_text())
-        assert report["rbo_depth"] == 25
+        assert (report["rbo_depth"], report["rbo_persistence"]) == (100, 0.9)
 
     def test_table_rendered_to_stderr(self, store_with_two_runs, capsys):
         main([

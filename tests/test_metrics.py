@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from dataclasses import asdict, fields
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ import embstab.metrics
 
 from embstab import (
     EmbeddingMatrix,
+    MetricsReport,
     compare_runs,
     init_reference,
     mean_same_id_cosine,
@@ -29,6 +32,11 @@ from embstab.errors import (
 )
 from embstab.metrics import rbo
 from conftest import random_orthogonal, random_pair, stabilized_pair
+
+
+def ranked_at(depth, p=0.9):
+    """Every ranking inside the block at RBO depth `depth` and persistence `p`."""
+    return mock.patch.multiple(embstab.metrics, RBO_DEPTH=depth, RBO_PERSISTENCE=p)
 
 
 def rbo_bruteforce(list_a, list_b, p, depth):
@@ -279,7 +287,8 @@ class TestRbo:
 class TestRankCorrelationReport:
     def test_identical_scorers(self):
         items, users = random_pair(50, 30, 8, seed=4)
-        mean, n = rank_correlation_report(items, users, users, top_k=10, p=0.9)
+        with ranked_at(10):
+            mean, n = rank_correlation_report(items, users, users)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert n == 30
 
@@ -290,7 +299,8 @@ class TestRankCorrelationReport:
             [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ids=[7, 3, 5]
         )
         users = EmbeddingMatrix.of_users([[2.0, 1.0]], ids=[1])
-        mean, _ = rank_correlation_report(items, users, users, top_k=3, p=0.9)
+        with ranked_at(3):
+            mean, _ = rank_correlation_report(items, users, users)
         assert mean == pytest.approx(1.0, abs=1e-15)
 
     def test_rotated_users_rank_incoherently(self):
@@ -304,14 +314,16 @@ class TestRankCorrelationReport:
             other = EmbeddingMatrix.of_users(
                 np.random.default_rng(1000 + t).standard_normal((50, 8)) / np.sqrt(8)
             )
-            baseline.append(rank_correlation_report(items, users, other, top_k=30, p=0.9)[0])
+            with ranked_at(30):
+                baseline.append(rank_correlation_report(items, users, other)[0])
         baseline = np.asarray(baseline)
 
         rotated = []
         for t in range(20):
             q = random_orthogonal(8, seed=5000 + t)
             spun = EmbeddingMatrix.of_users(users.vectors @ q, ids=users.ids)
-            rotated.append(rank_correlation_report(items, users, spun, top_k=30, p=0.9)[0])
+            with ranked_at(30):
+                rotated.append(rank_correlation_report(items, users, spun)[0])
         gap = abs(np.mean(rotated) - baseline.mean())
         assert gap < 3.0 * baseline.std()
         assert np.mean(rotated) < 0.5  # nowhere near coherent ranking
@@ -339,13 +351,13 @@ class TestRankCorrelationReport:
         users_b, _ = random_pair(40, 5, 8, seed=10)
         users_b = EmbeddingMatrix.of_users(users_b.vectors, ids=users_a.ids)
         q = random_orthogonal(8, seed=11)
-        base, _ = rank_correlation_report(items, users_a, users_b, top_k=20)
-        spun, _ = rank_correlation_report(
-            EmbeddingMatrix.of_items(items.vectors @ q, ids=items.ids),
-            EmbeddingMatrix.of_users(users_a.vectors @ q, ids=users_a.ids),
-            EmbeddingMatrix.of_users(users_b.vectors @ q, ids=users_b.ids),
-            top_k=20,
-        )
+        with ranked_at(20):
+            base, _ = rank_correlation_report(items, users_a, users_b)
+            spun, _ = rank_correlation_report(
+                EmbeddingMatrix.of_items(items.vectors @ q, ids=items.ids),
+                EmbeddingMatrix.of_users(users_a.vectors @ q, ids=users_a.ids),
+                EmbeddingMatrix.of_users(users_b.vectors @ q, ids=users_b.ids),
+            )
         assert spun == base  # dot products are preserved, rankings identical
 
     @given(tie_heavy_rankings())
@@ -353,8 +365,9 @@ class TestRankCorrelationReport:
     def test_blocks_bit_identical_to_full_sort(self, case):
         items, users_a, users_b, top_k, p, budget = case
         want = rank_correlation_full_sort(items, users_a, users_b, top_k, p)
-        with mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
-            assert rank_correlation_report(items, users_a, users_b, top_k=top_k, p=p) == want
+        with ranked_at(top_k, p), \
+                mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
+            assert rank_correlation_report(items, users_a, users_b) == want
 
     @given(tie_heavy_rankings())
     @settings(max_examples=200, deadline=None)
@@ -362,9 +375,9 @@ class TestRankCorrelationReport:
         items, users_a, users_b, top_k, p, budget = case
         results = []
         for lanes in (1, 2):
-            with mock.patch.object(embstab.lowrank, "LANES", lanes), \
+            with mock.patch.object(embstab.lowrank, "LANES", lanes), ranked_at(top_k, p), \
                     mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
-                results.append(rank_correlation_report(items, users_a, users_b, top_k=top_k, p=p))
+                results.append(rank_correlation_report(items, users_a, users_b))
         assert results[0] == results[1]
 
     def test_boundary_tie_keeps_smaller_ids(self):
@@ -378,8 +391,8 @@ class TestRankCorrelationReport:
         # Overlaps 0, 1, 2 at depths 1-3.
         want = (0.1 * (0.0 + 0.9 * 0.5 + 0.81 * (2 / 3)) + 0.729 * (2 / 3), 4)
         for budget in (1, 7, 15, 1 << 20):
-            with mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
-                mean, n = rank_correlation_report(items, users_a, users_b, top_k=3, p=0.9)
+            with ranked_at(3), mock.patch.object(embstab.metrics, "SCORE_BLOCK_ELEMENTS", budget):
+                mean, n = rank_correlation_report(items, users_a, users_b)
             assert n == want[1]
             assert mean == pytest.approx(want[0], abs=1e-15)
             assert (mean, n) == rank_correlation_full_sort(items, users_a, users_b, 3, 0.9)
@@ -439,37 +452,59 @@ class TestRankCorrelationReport:
 class TestReports:
     def test_compare_runs_self_comparison(self):
         items, users = random_pair(60, 40, 8, seed=15)
-        report = compare_runs(items, users, items, users, top_k=20, p=0.9)
+        with ranked_at(20, 0.8):
+            report = compare_runs(items, users, items, users)
         assert report.mean_user_cosine == 1.0
         assert report.mean_item_cosine == 1.0
         assert report.mean_rbo == pytest.approx(1.0, abs=1e-12)
         assert report.n_users_compared == 40
         assert report.n_items_compared == 60
-        assert (report.rbo_persistence, report.rbo_depth) == (0.9, 20)
+        assert (report.rbo_persistence, report.rbo_depth) == (0.8, 20)
+        # The constants are read at each call.
+        report = compare_runs(items, users, items, users)
+        assert (report.rbo_persistence, report.rbo_depth) == (0.9, 100)
 
     def test_ranges(self):
         items_a, users_a = random_pair(60, 40, 8, seed=16)
         items_b, users_b = random_pair(60, 40, 8, seed=17)
-        report = compare_runs(items_a, users_a, items_b, users_b, top_k=10)
+        with ranked_at(10):
+            report = compare_runs(items_a, users_a, items_b, users_b)
         assert -1.0 <= report.mean_user_cosine <= 1.0
         assert -1.0 <= report.mean_item_cosine <= 1.0
         assert 0.0 <= report.mean_rbo <= 1.0
 
-    def test_flat_text_round_trips(self):
-        items, users = random_pair(30, 20, 4, seed=18)
-        report = compare_runs(items, users, items, users, top_k=5)
-        text = report.to_flat_text()
+    def test_flat_text_round_trips(self, tmp_path):
+        items_a, users_a = random_pair(30, 20, 4, seed=18)
+        items_b, users_b = random_pair(30, 20, 4, seed=19)
+        report = compare_runs(items_a, users_a, items_b, users_b)
+        write_report(report, tmp_path / "report.txt", tmp_path / "report.json")
         parsed = {}
-        for line in text.strip().splitlines():
+        for line in (tmp_path / "report.txt").read_text().splitlines():
             key, _, value = line.partition(" = ")
             parsed[key] = eval(value)  # values are repr() of float/int
-        assert parsed == report.to_dict()
+        assert parsed == json.loads((tmp_path / "report.json").read_text()) == asdict(report)
+        assert list(parsed) == [f.name for f in fields(MetricsReport)]
 
     def test_write_report_files(self, tmp_path):
-        import json
-
-        items, users = random_pair(30, 20, 4, seed=19)
-        report = compare_runs(items, users, items, users, top_k=5)
+        report = MetricsReport(0.5, -0.25, 0.1 + 0.2, 20, 30, 0.9, 100)
         write_report(report, tmp_path / "report.txt", tmp_path / "report.json")
-        assert (tmp_path / "report.txt").read_text() == report.to_flat_text()
-        assert json.loads((tmp_path / "report.json").read_text()) == report.to_dict()
+        assert (tmp_path / "report.txt").read_bytes() == (
+            b"mean_user_cosine = 0.5\n"
+            b"mean_item_cosine = -0.25\n"
+            b"mean_rbo = 0.30000000000000004\n"
+            b"n_users_compared = 20\n"
+            b"n_items_compared = 30\n"
+            b"rbo_persistence = 0.9\n"
+            b"rbo_depth = 100\n"
+        )
+        assert (tmp_path / "report.json").read_bytes() == (
+            b'{\n'
+            b'  "mean_user_cosine": 0.5,\n'
+            b'  "mean_item_cosine": -0.25,\n'
+            b'  "mean_rbo": 0.30000000000000004,\n'
+            b'  "n_users_compared": 20,\n'
+            b'  "n_items_compared": 30,\n'
+            b'  "rbo_persistence": 0.9,\n'
+            b'  "rbo_depth": 100\n'
+            b'}\n'
+        )

@@ -98,9 +98,13 @@ class TestConfigFile:
             ("bogus", "1", "unknown config keys: ['bogus']"),
             ("dim", None, "SimConfig.__init__() missing 1 required positional argument: 'dim'"),
             ("rotation", "diagonal", "unknown rotation 'diagonal'"),
+            ("noise_scale", "nan", "noise_scale must be finite and >= 0, got nan"),
+            ("noise_scale", "inf", "noise_scale must be finite and >= 0, got inf"),
+            ("noise_scale", "-inf", "noise_scale must be finite and >= 0, got -inf"),
         ],
         ids=["dim-8.5", "dim-True", "dim-inf", "seed-inf", "noise_scale-abc", "noise_scale-True",
-             "unknown_key", "no_dim", "rotation-diagonal"],
+             "unknown_key", "no_dim", "rotation-diagonal", "noise_scale-nan", "noise_scale-inf",
+             "noise_scale--inf"],
     )
     def test_rejected_file_exits_2_with_its_message(self, tmp_path, capsys, key, value, message):
         """Each value a config file can hold that SimConfig refuses: the

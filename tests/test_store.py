@@ -13,7 +13,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -715,29 +715,52 @@ class TestRunStore:
         assert len(calls) == failing + 1
         assert pathlib.Path(calls[failing]).name == SEALED[failing]
         assert store.list_runs() == []
-        assert not store.run_dir("run0").exists()
+        assert list(store.runs_dir.iterdir()) == []
 
         record = store.save_run(run)
         store.validate_record(record)
         assert store.list_runs() == ["run0"]
         assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
 
-    def test_staged_run_with_meta_is_not_listed(self, tmp_path, monkeypatch):
-        store = RunStore(tmp_path / "store")
+    def test_staged_run_with_meta_is_not_listed(self, tmp_path):
+        # A writer killed between its meta and its rename leaves a whole run
+        # staged: a committed run copied under `.staging-run0` is one.
         items, users = random_pair(40, 30, 4, seed=0)
         run = init_reference(items, users, "run0")
-
-        def explode(self, target):
-            raise OSError("simulated crash before the rename")
-
-        monkeypatch.setattr(pathlib.Path, "rename", explode)
-        with pytest.raises(OSError, match="simulated"):
-            store.save_run(run)
-        monkeypatch.undo()
+        elsewhere = RunStore(tmp_path / "elsewhere")
+        elsewhere.save_run(run)
+        store = RunStore(tmp_path / "store")
+        shutil.copytree(elsewhere.run_dir("run0"), store.runs_dir / ".staging-run0")
         assert (store.runs_dir / ".staging-run0" / "meta").exists()
         assert store.list_runs() == []
         store.validate_record(store.save_run(run))
         assert store.list_runs() == ["run0"]
+        assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
+
+    def test_refused_users_emb_leaves_no_staging_directory(self, tmp_path, monkeypatch):
+        # A NaN user map: users.emb is refused once items.emb is sealed. (An
+        # OSError from write_transform is COMMIT_STEPS' seal_mT.olt.)
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run = next_run(store, "run1", seed=1)
+        sealed = fail_call(monkeypatch, os, "replace", -1)  # records, never fails
+        with pytest.raises(NonFinite, match="users.emb"):
+            store.save_run(replace(run, user_map=np.full_like(run.user_map, np.nan)), advance=True)
+        monkeypatch.undo()
+        assert [pathlib.Path(dst).name for _, dst in sealed] == ["items.emb"]
+        assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
+        assert store.list_runs() == ["run0"]
+        assert store.latest_reference_id() == "run0"
+
+        store.validate_record(store.save_run(run, advance=True))
+        assert store.list_runs() == ["run0", "run1"]
+        assert store.latest_reference_id() == "run1"
+
+    def test_commit_sweeps_staging_left_under_another_id(self, tmp_path):
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        shutil.copytree(store.run_dir("run0"), store.runs_dir / ".staging-killed")
+        (store.runs_dir / ".staging-empty").mkdir()
+        store.save_run(next_run(store, "run1", seed=1), advance=True)
+        assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
 
     def test_concurrent_saves_of_one_id_commit_one_whole_run(self, tmp_path):
         store = RunStore(tmp_path / "store")
@@ -903,6 +926,7 @@ class TestRunStore:
         assert store.latest_reference_id() == "run0"
         assert store.list_runs() == ["run0"]
         assert not store.run_dir("run1").exists()
+        assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
 
         record = store.save_run(run, advance=True)
         store.validate_record(record)
