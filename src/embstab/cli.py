@@ -1,16 +1,18 @@
 """Command-line pipeline driver.
 
 Subcommands: simulate (synthetic runs), init (seed the reference space),
-stabilize (map a new run into it), validate (compare two stored runs),
-apply (stream an embedding file through a stored transform). A run's rank
-is read from its spectrum, so a rank-deficient run commits with a warning.
-Diagnostics go to standard error, a warning as one `warning: <message>` line;
-data goes to files. Exit codes: 0 success; 3 for CorruptFile, OSError or
-MemoryError, an I/O error (including a malformed run `meta` or a run file
-whose digest differs from it) or out of memory; 2 for every other
-EmbStabError, a validation error such as bad dimensions, a stale reference,
-an input holding NaN, Inf or a repeated id, or a map that makes an output
-row NaN or Inf. README's "CLI pipeline" lists every case.
+stabilize (map a new run onto the latest reference and advance to it),
+validate (compare two stored runs), apply (stream an embedding file through
+a stored transform). A run's rank is read from its spectrum, so a
+rank-deficient run commits with a warning. Diagnostics go to standard
+error, a warning as one `warning: <message>` line; data goes to files.
+Exit codes: 0 success; 3 for CorruptFile, OSError or MemoryError, an I/O
+error (including a malformed run `meta` or `latest_ref`, or a run file whose
+digest differs from its meta) or out of memory; 2 for every other
+EmbStabError, a validation error such as bad dimensions, a second init, a
+stale reference (another writer committed first), an input holding NaN,
+Inf or a repeated id, or a map that makes an output row NaN or Inf.
+README's "CLI pipeline" lists every case.
 """
 
 from __future__ import annotations
@@ -67,13 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", required=True)
     p.add_argument("--run-id", required=True)
     p.add_argument("--out", required=True, help="store root directory")
-    p.add_argument("--ref", help="pin a reference run id (default: latest); "
-                   "pinning an older run needs --no-advance")
-    p.add_argument(
-        "--no-advance",
-        action="store_true",
-        help="do not move the latest-reference pointer to this run",
-    )
     p.set_defaults(func=_cmd_stabilize)
 
     p = sub.add_parser("validate", help="compare two stored runs")
@@ -108,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_init(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     run = init_reference(items, users, run_id=args.run_id)
-    RunStore(args.out).save_run(run, advance=True)
+    RunStore(args.out).save_run(run)
     print(f"initialized reference space from run {args.run_id!r}", file=sys.stderr)
     return EXIT_OK
 
@@ -116,9 +111,9 @@ def _cmd_init(args) -> int:
 def _cmd_stabilize(args) -> int:
     items, users = read_embeddings(args.items), read_embeddings(args.users)
     store = RunStore(args.out)
-    ref = store.reference_space(args.ref)
+    ref = store.reference_space()
     run = stabilize_run(items, users, ref, run_id=args.run_id)
-    store.save_run(run, advance=not args.no_advance)
+    store.save_run(run)
     print(
         f"stabilized run {args.run_id!r} against reference {ref.run_id!r}",
         file=sys.stderr,

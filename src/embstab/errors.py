@@ -49,7 +49,7 @@ class UnknownRun(EmbStabError):
 
 
 class StaleReference(EmbStabError):
-    """The latest reference is no longer the one a run was aligned to."""
+    """latest_ref no longer names a run's reference, or already exists for a seed."""
 
 
 class CorruptFile(EmbStabError):

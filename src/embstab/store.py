@@ -43,17 +43,19 @@ every read checks first. load_run reads a run back from its raw pair, its
 maps and the spectrum in meta: what stabilize_run and validate use of it.
 
 The `latest_ref` pointer file at the store root names the current reference
-run. A commit is one hold of one advisory lock, `save.lock` at the root; a
-writer that finds it held waits. save_run advances the pointer only if it
-still names the run's reference, or is absent for a seed (compare-and-swap).
-It stages the run in `runs/.staging-<run_id>/`, syncs it, renames it into
-place, syncs `runs/`, then writes the pointer to `latest_ref.tmp`, syncs it
-and renames it over `latest_ref`. Readers never block. A commit that fails
-anywhere else lists no new run and leaves the pointer; one that fails while
-syncing `runs/` leaves the run listed but not latest, and a retry advancing
-the same record syncs `runs/` and moves the pointer. Either way a retry
-under its id works, and no staging directory is left: a commit removes its
-own however it ends, and first sweeps any that a killed writer left.
+run, the head of the store's one chain (CorruptFile if it names no listed
+run). A commit is one hold of one advisory lock, `save.lock` at the root; a
+writer that finds it held waits. save_run commits a run, and advances the
+pointer to it, only if the pointer still names the run's reference, or is
+absent for a seed (compare-and-swap). It stages the run in
+`runs/.staging-<run_id>/`, syncs it, renames it into place, syncs `runs/`,
+then writes the pointer to `latest_ref.tmp`, syncs it and renames it over
+`latest_ref`. Readers never block. A commit that fails anywhere else lists
+no new run and leaves the pointer; one that fails while syncing `runs/`
+leaves the run listed but not latest, and a retry of the same record syncs
+`runs/` and moves the pointer. Either way a retry under its id works, and
+no staging directory is left: a commit removes its own however it ends,
+and first sweeps any that a killed writer left.
 """
 
 from __future__ import annotations
@@ -321,7 +323,8 @@ class RunRecord:
 
 def _check_record(record: RunRecord, run_id: str) -> None:
     """Raise ValueError unless every field of a loaded record has its JSON
-    type, its run_id names its own directory and each listed file is in it."""
+    type, its run_id names its own directory, its reference_run_id is a run
+    name and each listed file is in it."""
     for field in fields(RunRecord):
         value = getattr(record, field.name)
         kind = {"str": str, "int": int, "tuple": tuple, "dict": dict}[field.type]
@@ -329,6 +332,8 @@ def _check_record(record: RunRecord, run_id: str) -> None:
             raise ValueError(f"{field.name} is not a JSON {kind.__name__}: {value!r}")
     if record.run_id != run_id:
         raise ValueError(f"run_id {record.run_id!r} != its directory {run_id!r}")
+    if not _PLAIN_NAME.fullmatch(record.reference_run_id):
+        raise ValueError(f"reference_run_id {record.reference_run_id!r} is not a run name")
     if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in record.spectrum):
         raise ValueError(f"spectrum holds a non-number: {record.spectrum!r}")
     for name, digest in record.files.items():
@@ -359,15 +364,15 @@ class RunStore:
             raise InvalidRunId(f"run id {run_id!r} is not a safe directory name")
         return self.runs_dir / run_id
 
-    def save_run(self, run: StabilizedRun, *, advance: bool = False) -> RunRecord:
-        """Persist one run, and with `advance` point `latest_ref` at it. The
-        stabilized pair streams from the run's inputs through its maps. Runs
-        are append-only: saving a stored run id fails, except that advancing
-        a listed run that is not latest with the same record (a commit that
-        failed past its rename) syncs `runs/` and moves the pointer. A run
-        advances only from the reference it was built on, a seed (its own
-        reference) from none: otherwise advancing raises StaleReference
-        before any write, so a store holds one chain."""
+    def save_run(self, run: StabilizedRun) -> RunRecord:
+        """Persist one run and point `latest_ref` at it. The stabilized pair
+        streams from the run's inputs through its maps. A run commits only
+        onto the reference it was built on, a seed (its own reference) only
+        into a store with no reference: otherwise StaleReference is raised
+        before any write, so a store holds one chain. Runs are append-only:
+        saving a stored run id fails, except that saving a listed run that
+        is not latest with the same record (a commit that failed past its
+        rename) syncs `runs/` and moves the pointer."""
         directory = self.run_dir(run.run_id)
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         staging = self.runs_dir / f".staging-{run.run_id}"
@@ -378,11 +383,10 @@ class RunStore:
             swaps = built_on == (latest := self.latest_reference_id())
             stored = (directory / "meta").exists()
             taken = FileExistsError(f"run {run.run_id!r} already stored; runs are append-only")
-            if stored and not (advance and swaps):
-                raise taken
-            if advance and not swaps:
-                raise StaleReference(
-                    f"run {run.run_id!r} is built on {built_on!r}; latest_ref names {latest!r}"
+            built = f"built on {built_on!r}" if built_on else "a seed, which needs an empty store"
+            if not swaps:
+                raise taken if stored else StaleReference(
+                    f"run {run.run_id!r} is {built}; latest_ref names {latest!r}"
                 )
             # Under the lock no other writer holds a staging directory, so any
             # found is a killed writer's; this commit's own goes however it ends.
@@ -426,16 +430,15 @@ class RunStore:
                 shutil.rmtree(directory, ignore_errors=True)  # no meta: an older store's failed save
                 staging.rename(directory)
             _fsync(self.runs_dir)  # the run is on disk before the pointer names it
-            if advance:
-                try:
-                    pointer.write_text(run.run_id + "\n")
-                    _fsync(pointer)
-                    os.replace(pointer, self.latest_ref_path)
-                except BaseException:
-                    if not stored:  # a retry leaves its run listed, as it found it
-                        directory.rename(staging)
-                        _fsync(self.runs_dir)
-                    raise
+            try:
+                pointer.write_text(run.run_id + "\n")
+                _fsync(pointer)
+                os.replace(pointer, self.latest_ref_path)
+            except BaseException:
+                if not stored:  # a retry leaves its run listed, as it found it
+                    directory.rename(staging)
+                    _fsync(self.runs_dir)
+                raise
             _fsync(self.root)
         return record
 
@@ -502,16 +505,17 @@ class RunStore:
         )
 
     def latest_reference_id(self) -> str | None:
+        """The run `latest_ref` names, or None while there is no pointer."""
         if not self.latest_ref_path.exists():
             return None
         text = self.latest_ref_path.read_text().strip()
-        return text or None
+        if not (_PLAIN_NAME.fullmatch(text) and (self.runs_dir / text / "meta").exists()):
+            raise CorruptFile(f"{self.latest_ref_path}: {text!r} names no listed run")
+        return text
 
-    def reference_space(self, run_id: str | None = None) -> StabilizedRun:
-        """The run that anchors the next stabilize_run: `run_id`, or the
-        latest reference."""
+    def reference_space(self) -> StabilizedRun:
+        """The run that anchors the next stabilize_run: the latest reference."""
+        run_id = self.latest_reference_id()
         if run_id is None:
-            run_id = self.latest_reference_id()
-            if run_id is None:
-                raise UnknownRun("store has no reference yet; run init first")
+            raise UnknownRun("store has no reference yet; run init first")
         return self.load_run(run_id)

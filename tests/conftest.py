@@ -48,6 +48,10 @@ MALFORMED_META = {
         }
     ),
     "run_id_of_another_run": lambda text: json.dumps({**json.loads(text), "run_id": "run9"}),
+    # The chain link, followed out of the store.
+    "reference_outside_store": lambda text: json.dumps(
+        {**json.loads(text), "reference_run_id": "../../etc"}
+    ),
     "dim_not_an_int": lambda text: json.dumps({**json.loads(text), "dim": 8.5}),
     "rank_a_bool": lambda text: json.dumps({**json.loads(text), "effective_rank": True}),
     "spectrum_of_strings": lambda text: json.dumps({**json.loads(text), "spectrum": ["1.0"]}),

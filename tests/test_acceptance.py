@@ -303,7 +303,7 @@ def test_c8_persistence_round_trips_and_crash_safety(tmp_path):
     store = RunStore(tmp_path / "store")
     items, users = random_pair(40, 30, 4, seed=0)
     run0 = init_reference(items, users, "run0")
-    store.save_run(run0, advance=True)
+    store.save_run(run0)
     items1, users1 = random_pair(40, 30, 4, seed=1)
     run1 = stabilize_run(items1, users1, run0, "run1")
 
@@ -317,10 +317,10 @@ def test_c8_persistence_round_trips_and_crash_safety(tmp_path):
 
         mp.setattr(os, "replace", explode)
         with pytest.raises(RuntimeError):
-            store.save_run(run1, advance=True)
+            store.save_run(run1)
     assert store.latest_reference_id() == "run0"
     assert store.list_runs() == ["run0"]
-    store.save_run(run1, advance=True)
+    store.save_run(run1)
     assert store.latest_reference_id() == "run1"
     announce(8, "persistence round trips and crash safety")
 

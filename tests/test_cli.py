@@ -169,6 +169,7 @@ class TestInit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "latest_ref names 'run1'" in err
+        assert "None" not in err
         assert sorted(store_with_two_runs.rglob("*")) == before
         assert (store_with_two_runs / "latest_ref").read_text() == "run1\n"
 
@@ -361,71 +362,110 @@ class TestStabilize:
     def test_pointer_advances_to_latest(self, store_with_two_runs):
         assert (store_with_two_runs / "latest_ref").read_text().strip() == "run1"
 
-    def test_no_advance_keeps_pointer(self, tmp_path, sim_dir, store_with_two_runs):
-        store = store_with_two_runs
-        rc = main([
-            "stabilize",
-            "--items", str(sim_dir / "run_002.items.emb"),
-            "--users", str(sim_dir / "run_002.users.emb"),
-            "--run-id", "run2",
-            "--out", str(store),
-            "--no-advance",
-        ])
-        assert rc == 0
-        assert (store / "latest_ref").read_text().strip() == "run1"
-
-    def test_pinned_reference(self, tmp_path, sim_dir, store_with_two_runs):
-        store = store_with_two_runs
-        rc = main([
-            "stabilize",
-            "--items", str(sim_dir / "run_002.items.emb"),
-            "--users", str(sim_dir / "run_002.users.emb"),
-            "--run-id", "run2pinned",
-            "--out", str(store),
-            "--ref", "run0",
-            "--no-advance",
-        ])
-        assert rc == 0
-        meta = json.loads((store / "runs" / "run2pinned" / "meta").read_text())
-        assert meta["reference_run_id"] == "run0"
-
-    def test_pinned_older_reference_without_no_advance_exits_2(
-        self, sim_dir, store_with_two_runs, capsys
+    @pytest.mark.parametrize("extra", [["--ref", "run0"], ["--ref", "run1"], ["--no-advance"]])
+    def test_removed_reference_options_exit_2_and_change_nothing(
+        self, sim_dir, store_with_two_runs, capsys, extra
     ):
-        # Advancing from run1 to a run aligned to run0 would fork the chain.
+        # A store is one chain: each stabilize aligns onto latest_ref and advances it.
         store = store_with_two_runs
+
+        def snapshot():
+            return {p: p.read_bytes() if p.is_file() else None for p in store.rglob("*")}
+
+        before = snapshot()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
+                "--users", str(sim_dir / "run_002.users.emb"),
+                "--run-id", "run2", "--out", str(store), *extra,
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert snapshot() == before
+
+    @pytest.mark.parametrize("text", ["../x", "ghost"])
+    @pytest.mark.parametrize("command", ["init", "stabilize"])
+    def test_pointer_naming_no_listed_run_exits_3(
+        self, sim_dir, store_with_two_runs, capsys, command, text
+    ):
+        store = store_with_two_runs
+        (store / "latest_ref").write_text(text + "\n")
         capsys.readouterr()
         assert main([
-            "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
+            command, "--items", str(sim_dir / "run_002.items.emb"),
             "--users", str(sim_dir / "run_002.users.emb"),
-            "--run-id", "run2", "--out", str(store), "--ref", "run0",
-        ]) == 2
+            "--run-id", "run2", "--out", str(store),
+        ]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(store / "latest_ref") in err
         assert sorted(p.name for p in (store / "runs").iterdir()) == ["run0", "run1"]
-        assert (store / "latest_ref").read_text().strip() == "run1"
+        assert (store / "latest_ref").read_text() == text + "\n"
 
-    def test_pinned_latest_reference_advances(self, sim_dir, store_with_two_runs):
-        store = store_with_two_runs
+    def test_every_listed_run_is_a_step_of_the_chain(self, tmp_path, monkeypatch, capsys):
+        # A refused second init and a commit that fails at its pointer step
+        # list no run off the chain; its retry and two more commits extend it.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CFG)
+        sim, store = tmp_path / "sim", tmp_path / "store"
+        runs = RunStore(store)
+        assert main(["simulate", "--config", str(cfg), "--runs", "3", "--out", str(sim)]) == 0
+
+        def commit(command, k, run_id):
+            return main([
+                command, "--items", str(sim / f"run_{k:03d}.items.emb"),
+                "--users", str(sim / f"run_{k:03d}.users.emb"),
+                "--run-id", run_id, "--out", str(store),
+            ])
+
+        assert commit("init", 0, "run0") == 0
+        assert commit("init", 1, "seed1") == 2
+        replace = os.replace
+
+        def pointer_fails_once(src, dst):
+            if Path(dst).name == "latest_ref":
+                monkeypatch.undo()
+                raise OSError("simulated failure renaming latest_ref")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", pointer_fails_once)
+        assert commit("stabilize", 1, "run1") == 3
+        assert os.replace is replace
+        assert runs.list_runs() == ["run0"]
+        for k in (1, 2, 3):
+            assert commit("stabilize", k, f"run{k}") == 0
+        chain = [runs.latest_reference_id()]
+        while (ref := runs.load_record(chain[-1]).reference_run_id) != chain[-1]:
+            chain.append(ref)
+        assert chain == ["run3", "run2", "run1", "run0"]
+        assert sorted(chain) == runs.list_runs()
+        assert not list((store / "runs").glob(".staging-*"))
+
+    def test_side_run_of_an_older_store_loads_off_the_chain(self, tmp_path, sim_dir,
+                                                              store_with_two_runs):
+        # Older versions listed runs off the chain (`stabilize --no-advance`):
+        # such a run, aligned to run0 while run1 is latest, is copied in.
+        store, elsewhere = store_with_two_runs, tmp_path / "elsewhere"
+        shutil.copytree(store / "runs" / "run0", elsewhere / "runs" / "run0")
+        (elsewhere / "latest_ref").write_text("run0\n")
         assert main([
             "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
             "--users", str(sim_dir / "run_002.users.emb"),
-            "--run-id", "run2", "--out", str(store), "--ref", "run1",
+            "--run-id", "side", "--out", str(elsewhere),
         ]) == 0
-        meta = json.loads((store / "runs" / "run2" / "meta").read_text())
-        assert meta["reference_run_id"] == "run1"
-        assert (store / "latest_ref").read_text().strip() == "run2"
-
-    def test_nonexistent_ref_exits_2(self, sim_dir, store_with_two_runs):
-        rc = main([
-            "stabilize",
-            "--items", str(sim_dir / "run_002.items.emb"),
+        shutil.copytree(elsewhere / "runs" / "side", store / "runs" / "side")
+        assert main(["validate", "--run-a", "run0", "--run-b", "side", "--store", str(store),
+                     "--out", str(tmp_path / "report")]) == 0
+        assert main([
+            "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
             "--users", str(sim_dir / "run_002.users.emb"),
-            "--run-id", "run2",
-            "--out", str(store_with_two_runs),
-            "--ref", "ghost",
-        ])
-        assert rc == 2
+            "--run-id", "run2", "--out", str(store),
+        ]) == 0
+        runs = RunStore(store)
+        assert runs.load_record("run2").reference_run_id == "run1"
+        assert runs.latest_reference_id() == "run2"
+        assert runs.list_runs() == ["run0", "run1", "run2", "side"]
 
     def test_unsafe_run_id_exits_2_and_changes_nothing(self, sim_dir, store_with_two_runs, capsys):
         store = store_with_two_runs
@@ -718,7 +758,7 @@ def test_pinned_reference_with_anchor_of_another_run_exits_3(
     assert main([
         "stabilize", "--items", str(sim_dir / "run_002.items.emb"),
         "--users", str(sim_dir / "run_002.users.emb"),
-        "--run-id", "run2", "--out", str(store_with_two_runs), "--ref", "run1",
+        "--run-id", "run2", "--out", str(store_with_two_runs),
     ]) == 3
     assert capsys.readouterr().err.count("\n") == 1
     assert not (store_with_two_runs / "runs" / "run2").exists()
@@ -746,7 +786,7 @@ def _reading_argv(command, store, sim_dir, report):
     if command == "stabilize":
         return ["stabilize", "--items", str(sim_dir / "run_002.items.emb"),
                 "--users", str(sim_dir / "run_002.users.emb"),
-                "--run-id", "run2", "--out", str(store), "--ref", "run1"]
+                "--run-id", "run2", "--out", str(store)]
     return ["validate", "--run-a", "run1", "--run-b", "run0", "--store", str(store),
             "--out", str(report)] + command.split()[1:]
 

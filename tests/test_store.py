@@ -528,11 +528,11 @@ def make_store_with_runs(tmp_path, n_runs=2):
     store = RunStore(tmp_path / "store")
     items, users = random_pair(40, 30, 4, seed=0)
     run = init_reference(items, users, "run0")
-    records = [store.save_run(run, advance=True)]
+    records = [store.save_run(run)]
     for k in range(1, n_runs):
         items_k, users_k = random_pair(40, 30, 4, seed=k)
         run = stabilize_run(items_k, users_k, run, f"run{k}")
-        records.append(store.save_run(run, advance=True))
+        records.append(store.save_run(run))
     return store, records
 
 
@@ -581,8 +581,8 @@ class TestRunStore:
         assert record == records[0]
 
     def test_loaders(self, tmp_path):
-        # load_run, and reference_space over it, return each saved run, the
-        # seed and two chained on it, field for field and bit for bit.
+        # load_run returns each saved run, the seed and two chained on it,
+        # and reference_space the last, field for field and bit for bit.
         for dtype in (np.float32, np.float64):
             store = RunStore(tmp_path / np.dtype(dtype).name)
             runs = []
@@ -592,10 +592,9 @@ class TestRunStore:
                     runs.append(stabilize_run(items, users, runs[-1], f"run{k}"))
                 else:
                     runs.append(init_reference(items, users, "run0"))
-                store.save_run(runs[-1], advance=True)
+                store.save_run(runs[-1])
             for run in runs:
                 assert_same_run(store.load_run(run.run_id), run)
-                assert_same_run(store.reference_space(run.run_id), run)
             assert_same_run(store.reference_space(), runs[-1])
 
     def test_append_only(self, tmp_path):
@@ -616,14 +615,11 @@ class TestRunStore:
     def test_reference_space_latest_and_pinned(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=2)
         assert store.reference_space().run_id == "run1"
-        assert store.reference_space("run0").run_id == "run0"
 
     def test_unknown_run(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
         with pytest.raises(UnknownRun):
             store.load_record("runX")
-        with pytest.raises(UnknownRun):
-            store.reference_space("runX")
 
     def test_empty_store_has_no_reference(self, tmp_path):
         store = RunStore(tmp_path / "fresh")
@@ -744,14 +740,14 @@ class TestRunStore:
         run = next_run(store, "run1", seed=1)
         sealed = fail_call(monkeypatch, os, "replace", -1)  # records, never fails
         with pytest.raises(NonFinite, match="users.emb"):
-            store.save_run(replace(run, user_map=np.full_like(run.user_map, np.nan)), advance=True)
+            store.save_run(replace(run, user_map=np.full_like(run.user_map, np.nan)))
         monkeypatch.undo()
         assert [pathlib.Path(dst).name for _, dst in sealed] == ["items.emb"]
         assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
         assert store.list_runs() == ["run0"]
         assert store.latest_reference_id() == "run0"
 
-        store.validate_record(store.save_run(run, advance=True))
+        store.validate_record(store.save_run(run))
         assert store.list_runs() == ["run0", "run1"]
         assert store.latest_reference_id() == "run1"
 
@@ -759,7 +755,7 @@ class TestRunStore:
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
         shutil.copytree(store.run_dir("run0"), store.runs_dir / ".staging-killed")
         (store.runs_dir / ".staging-empty").mkdir()
-        store.save_run(next_run(store, "run1", seed=1), advance=True)
+        store.save_run(next_run(store, "run1", seed=1))
         assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
 
     def test_concurrent_saves_of_one_id_commit_one_whole_run(self, tmp_path):
@@ -803,7 +799,7 @@ class TestRunStore:
 
         monkeypatch.setattr(embstab.store, "write_embedding_chunks", no_anchor)
         with pytest.raises(OSError, match="anchor"):
-            store.save_run(run, advance=True)
+            store.save_run(run)
         assert store.latest_reference_id() == "run1"
         assert store.list_runs() == ["run0", "run1"]
 
@@ -820,7 +816,7 @@ class TestRunStore:
 
         monkeypatch.setattr(os, "replace", explode)
         with pytest.raises(RuntimeError):
-            store.save_run(run, advance=True)
+            store.save_run(run)
         monkeypatch.undo()
         assert store.latest_reference_id() == "run0"
         assert store.list_runs() == ["run0"]
@@ -834,7 +830,7 @@ class TestRunStore:
 
         def advance():
             try:
-                store.save_run(run, advance=True)
+                store.save_run(run)
             except Exception as exc:
                 errors.append(exc)
 
@@ -857,23 +853,36 @@ class TestRunStore:
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
         run_b = next_run(store, "B", seed=1)
         run_c = next_run(store, "C", seed=2)
-        store.save_run(run_b, advance=True)
+        store.save_run(run_b)
         with pytest.raises(StaleReference):
-            store.save_run(run_c, advance=True)
+            store.save_run(run_c)
         assert store.latest_reference_id() == "B"
         assert sorted(p.name for p in store.runs_dir.iterdir()) == ["B", "run0"]
         # Stabilized again against B, C commits onto the chain.
         run_c = next_run(store, "C", seed=2)
-        assert store.save_run(run_c, advance=True).reference_run_id == "B"
+        assert store.save_run(run_c).reference_run_id == "B"
         assert store.latest_reference_id() == "C"
 
     def test_seed_advances_only_an_empty_store(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=2)
         items, users = random_pair(40, 30, 4, seed=7)
-        with pytest.raises(StaleReference, match="latest_ref names 'run1'"):
-            store.save_run(init_reference(items, users, "run9"), advance=True)
+        with pytest.raises(StaleReference, match="a seed, .*; latest_ref names 'run1'"):
+            store.save_run(init_reference(items, users, "run9"))
         assert store.latest_reference_id() == "run1"
         assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
+
+    @pytest.mark.parametrize("text", ["../x", "ghost", ""])
+    def test_pointer_naming_no_listed_run_is_corrupt_file(self, tmp_path, text):
+        # Reads and commits meet the same error, before any write.
+        store, _ = make_store_with_runs(tmp_path, n_runs=1)
+        run = next_run(store, "run1", seed=1)
+        store.latest_ref_path.write_text(text + "\n")
+        for call in (store.latest_reference_id, store.reference_space,
+                     lambda: store.save_run(run)):
+            with pytest.raises(CorruptFile, match=re.escape(str(store.latest_ref_path))):
+                call()
+        assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
+        assert store.latest_ref_path.read_text() == text + "\n"
 
     def test_concurrent_writers_keep_one_linear_chain(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
@@ -886,7 +895,7 @@ class TestRunStore:
                     while True:
                         run = next_run(store, f"w{w}r{j}", seed=10 * w + j + 1)
                         try:
-                            store.save_run(run, advance=True)
+                            store.save_run(run)
                             break
                         except StaleReference:
                             continue
@@ -919,7 +928,7 @@ class TestRunStore:
         owner, name, index = COMMIT_STEPS[step]
         calls = fail_call(monkeypatch, owner, name, index)
         with pytest.raises(OSError, match="simulated"):
-            store.save_run(run, advance=True)
+            store.save_run(run)
         monkeypatch.undo()
         if step.startswith("seal_"):
             assert pathlib.Path(calls[index][1]).name == step[len("seal_"):]
@@ -928,7 +937,7 @@ class TestRunStore:
         assert not store.run_dir("run1").exists()
         assert [p.name for p in store.runs_dir.iterdir()] == ["run0"]
 
-        record = store.save_run(run, advance=True)
+        record = store.save_run(run)
         store.validate_record(record)
         assert store.latest_reference_id() == "run1"
         assert store.list_runs() == ["run0", "run1"]
@@ -951,18 +960,16 @@ class TestRunStore:
 
         monkeypatch.setattr(embstab.store, "_fsync", runs_sync_fails_once)
         with pytest.raises(OSError, match="simulated"):
-            store.save_run(run, advance=True)
+            store.save_run(run)
         monkeypatch.undo()
         assert store.list_runs() == ["run0", "run1"]
         assert store.latest_reference_id() == "run0"
         stored = store.load_record("run1")
         meta = (store.run_dir("run1") / "meta").read_bytes()
 
-        # Another run under the id, or a save that does not advance, is refused.
+        # Another run under the id is refused.
         with pytest.raises(FileExistsError):
-            store.save_run(next_run(store, "run1", seed=2), advance=True)
-        with pytest.raises(FileExistsError):
-            store.save_run(run)
+            store.save_run(next_run(store, "run1", seed=2))
         assert store.latest_reference_id() == "run0"
 
         # The retry syncs runs/ before the pointer names the run, since the
@@ -977,7 +984,7 @@ class TestRunStore:
 
         monkeypatch.setattr(embstab.store, "_fsync", logged("fsync", fsync))
         monkeypatch.setattr(os, "replace", logged("replace", os.replace))
-        assert store.save_run(run, advance=True) == stored
+        assert store.save_run(run) == stored
         monkeypatch.undo()
         runs_sync = events.index(("fsync", store.runs_dir))
         assert runs_sync < events.index(("replace", store.latest_ref_path))
@@ -986,7 +993,7 @@ class TestRunStore:
         store.validate_record(stored)
         assert sorted(p.name for p in store.runs_dir.iterdir()) == ["run0", "run1"]
         with pytest.raises(FileExistsError):
-            store.save_run(run, advance=True)
+            store.save_run(run)
 
     def test_run_reaches_disk_before_the_pointer_names_it(self, tmp_path, monkeypatch):
         # After power loss a directory keeps only the updates synced in it, so
@@ -1011,7 +1018,7 @@ class TestRunStore:
         monkeypatch.setattr(os, "fsync", synced)
         monkeypatch.setattr(os, "replace", replaced)
         monkeypatch.setattr(pathlib.Path, "rename", renamed)
-        store.save_run(run, advance=True)
+        store.save_run(run)
         monkeypatch.undo()
         run_rename = events.index(
             ("rename", store.runs_dir / ".staging-run1", store.run_dir("run1"))
@@ -1029,7 +1036,7 @@ class TestRunStore:
         store = RunStore(tmp_path / "store")
         tracemalloc.start()
         try:
-            store.save_run(init_reference(items, users, "run0"), advance=True)
+            store.save_run(init_reference(items, users, "run0"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1042,7 +1049,7 @@ class TestRunStore:
         (store.run_dir("r1") / "items.emb").write_bytes(b"partial")
         items, users = random_pair(40, 30, 4, seed=0)
         run = init_reference(items, users, "r1")
-        record = store.save_run(run, advance=True)
+        record = store.save_run(run)
         store.validate_record(record)
         assert store.list_runs() == ["r1"]
         assert store.latest_reference_id() == "r1"
@@ -1137,7 +1144,7 @@ class TestDerivedPair:
                 else:
                     run = stabilize_run(items, users, store.reference_space(), f"run{k}")
             assert (RankTruncationWarning in {w.category for w in caught}) == (k == 1)
-            store.save_run(run, advance=True)
+            store.save_run(run)
         for k in range(3):
             self.assert_derived_is_stored(store, f"run{k}", tmp_path)
 
