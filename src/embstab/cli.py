@@ -26,13 +26,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import (
-    CorruptFile,
-    DimensionMismatch,
-    EmbStabError,
-    InvalidConfig,
-)
-from .lowrank import _refuse_rows, apply_transform
+from .errors import CorruptFile, EmbStabError, InvalidConfig
+from .lowrank import _check_map, _refuse_rows, apply_transform
 from .metrics import MetricsReport, compare_runs, write_report
 from .simulator import gen_ground_truth, gen_retrained_run, load_sim_config
 from .stabilizer import init_reference, stabilize_run
@@ -196,10 +191,7 @@ def _checked_rows(role, count: int, chunks):
 def _cmd_apply(args) -> int:
     transform = read_transform(args.transform)
     with open_embeddings(args.emb) as (role, precision, count, dim, chunks):
-        if dim != transform.shape[0]:
-            raise DimensionMismatch(
-                f"embedding width {dim} != transform row count {transform.shape[0]}"
-            )
+        _check_map(dim, transform)
         # The codec call that writes a stored run's stabilized pair, so the
         # streamed file matches it, and apply_transform, bit for bit. It
         # drains the rows, checks and all, before renaming --out into place.

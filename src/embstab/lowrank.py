@@ -10,13 +10,13 @@ fixed e and the score matrix is never materialized. The maps and the
 kept spectrum are returned as bare read-only float64 arrays.
 
 Each R factor comes from a fixed-block TSQR (Demmel et al., SISC 2012):
-the rows are cut, in order, into consecutive blocks of QR_BLOCK_ROWS rows
-(at least 2e), each block is reduced to its own R by Householder QR, the
-block R factors are stacked in the same order, and this repeats until at
-most one block is left for a last QR. The block order depends only on the
-row count and e, so R is a deterministic function of the rows in their
-order, whatever pieces they were read in; a side of at most one block
-takes the single QR alone.
+the rows are cut, in ascending id order, into consecutive blocks of
+QR_BLOCK_ROWS rows (at least 2e), each block is reduced to its own R by
+Householder QR, the block R factors are stacked in the same order, and
+this repeats until at most one block is left for a last QR. So R is a
+deterministic function of the rows by id, not of their order in a file or
+the pieces they were read in; a side of at most one block takes the single
+QR alone.
 
 The apply kernel (rowwise_matmul) sums each output in one fixed order,
 ascending over the input width, and cuts every input of two or more rows
@@ -230,19 +230,29 @@ def _join(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarra
     return np.intersect1d(a.ids, b.ids, assume_unique=True, return_indices=True)
 
 
+def _row_blocks(vectors: np.ndarray, order: np.ndarray, size: int):
+    """float64 copies of the rows of `vectors` at the indices in `order`,
+    `size` rows at a time: each block is gathered and cast alone."""
+    for start in range(0, order.size, size):
+        yield vectors[order[start : start + size]].astype(np.float64, copy=False)
+
+
 def _qr_r(a: np.ndarray) -> np.ndarray:
-    return np.linalg.qr(a.astype(np.float64, copy=False), mode="r")
+    return np.linalg.qr(a, mode="r")
 
 
-def _r_factor(a: np.ndarray) -> np.ndarray:
-    # R factor of the thin QR of `a`, in float64, by fixed-block TSQR: each
-    # pass replaces consecutive blocks of `block` rows, top to bottom, by
-    # their stacked R factors. A block of at least 2e rows yields at most e,
-    # so every pass shrinks the matrix. One last QR takes what is left (all
-    # of `a` when it fits one block, exactly as a one-shot QR would). Its
-    # diagonal is then made nonnegative, so R is a deterministic function of
-    # the rows in order; Q is never materialized.
+def _r_factor(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    # R factor of the thin QR of `a`'s rows in `order`, in float64, by
+    # fixed-block TSQR: each pass replaces consecutive blocks of `block`
+    # rows, top to bottom, by their stacked R factors; the first gathers and
+    # casts one block at a time, so no n x e copy is made. A block of at
+    # least 2e rows yields at most e, so every pass shrinks the matrix. One
+    # last QR takes what is left (all rows when they fit one block, exactly
+    # as a one-shot QR would). Its diagonal is then made nonnegative, so R is
+    # a deterministic function of the rows in `order`; Q is never formed.
     block = max(QR_BLOCK_ROWS, 2 * a.shape[1])
+    blocks = _row_blocks(a, order, block)
+    a = np.concatenate([_qr_r(b) for b in blocks]) if a.shape[0] > block else next(blocks)
     while a.shape[0] > block:
         a = np.concatenate([_qr_r(a[i : i + block]) for i in range(0, a.shape[0], block)])
     r = _qr_r(a)
@@ -311,9 +321,10 @@ def low_rank_svd_trans(
     _check_pair(items, users)
     # All decomposition work in float64 (_r_factor casts block by block):
     # the inverse square root of the spectrum amplifies rounding error at
-    # lower precision.
-    r_t = _r_factor(items.vectors)
-    r_w = _r_factor(users.vectors)
+    # lower precision. Rows go in ascending id order, so the maps do not
+    # depend on the order of the rows in their files.
+    r_t = _r_factor(items.vectors, np.argsort(items.ids, kind="stable"))
+    r_w = _r_factor(users.vectors, np.argsort(users.ids, kind="stable"))
     u, s, vt = _canonical_svd(r_t @ r_w.T)
 
     dim = items.dim
@@ -387,6 +398,15 @@ def rowwise_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray | None = Non
     return out
 
 
+def _check_map(dim: int, m: np.ndarray) -> None:
+    """DimensionMismatch unless `m` is 2-D with a row per column of a
+    `dim`-wide embedding: the rule of apply_transform and `embstab apply`."""
+    if m.ndim != 2:
+        raise DimensionMismatch(f"transform must be 2-D, got {m.ndim}-D")
+    if dim != m.shape[0]:
+        raise DimensionMismatch(f"embedding width {dim} != transform row count {m.shape[0]}")
+
+
 def apply_transform(emb: EmbeddingMatrix, matrix) -> EmbeddingMatrix:
     """Right-multiply every embedding row by the given map.
 
@@ -395,11 +415,6 @@ def apply_transform(emb: EmbeddingMatrix, matrix) -> EmbeddingMatrix:
     bit-identical under any row partitioning, see rowwise_matmul.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"transform must be 2-D, got {m.ndim}-D")
-    if emb.dim != m.shape[0]:
-        raise DimensionMismatch(
-            f"embedding width {emb.dim} != transform row count {m.shape[0]}"
-        )
+    _check_map(emb.dim, m)
     out = np.empty((emb.n, m.shape[1]), dtype=emb.vectors.dtype)
     return EmbeddingMatrix(emb.role, emb.ids, rowwise_matmul(emb.vectors, m, out))

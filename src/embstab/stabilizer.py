@@ -5,9 +5,10 @@ later run is SVD-transformed the same way, its items are aligned with an
 orthogonal map onto its reference's items in that space (the anchor: the
 reference's raw items through its item map, never formed, as the alignment
 needs only an e x e cross-covariance), and the two steps collapse into one
-small matrix per side; a run is its inputs and those two maps. Stages pass
-bare read-only float64 arrays. Each run can anchor the next one (reference
-chaining), so the seed run is not a special case forever.
+small matrix per side; a run is its inputs and those two maps, and reads
+only the Anchor of its reference. Stages pass bare read-only float64
+arrays. Each run can anchor the next one (reference chaining), so the seed
+run is not a special case forever.
 
 Alignment is computed from items only; user embeddings ride along through
 their own composed map. Because the alignment is orthogonal, stabilization
@@ -17,11 +18,12 @@ never changes any user-item score.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientOverlap
-from .lowrank import EmbeddingMatrix, _join, _readonly, low_rank_svd_trans
+from .lowrank import EmbeddingMatrix, _join, _readonly, _row_blocks, low_rank_svd_trans
 from .procrustes import ortho_procrustes
 
 # Rows per block of stabilize_run's cross-covariance: blocks of 64 to 512 rows
@@ -39,8 +41,8 @@ class StabilizedRun:
     apply_transform(raw, map), derived where used and never held, so every
     run of width e lands in the same e-wide standard space whatever its
     effective rank, which the spectrum's length gives. A run is also the
-    reference of the next one: stabilize_run aligns onto its raw items
-    through its item map.
+    reference of the next one: stabilize_run reads only its run_id,
+    raw_items and item_map, the fields of an Anchor.
     """
 
     run_id: str
@@ -60,6 +62,15 @@ class StabilizedRun:
         return self.item_map.shape[0]
 
 
+class Anchor(NamedTuple):
+    """What stabilize_run reads of its reference, as RunStore.reference_space
+    reads it; a StabilizedRun has the same three attributes."""
+
+    run_id: str
+    raw_items: EmbeddingMatrix
+    item_map: np.ndarray
+
+
 def init_reference(items: EmbeddingMatrix, users: EmbeddingMatrix, run_id: str) -> StabilizedRun:
     """Seed the standard space from one run.
 
@@ -73,16 +84,19 @@ def init_reference(items: EmbeddingMatrix, users: EmbeddingMatrix, run_id: str) 
 def stabilize_run(
     items: EmbeddingMatrix,
     users: EmbeddingMatrix,
-    reference: StabilizedRun,
+    reference: StabilizedRun | Anchor,
     run_id: str,
 ) -> StabilizedRun:
     """Map one run's embeddings into the reference's standard space.
 
-    The run is SVD-transformed, then its items are Procrustes-aligned onto
-    the anchor, the reference's raw items through its item map, by the raw
-    cross-covariance of the rows whose ids both hold, summed over blocks of
-    rows in ascending id order, each cast to float64 alone: no n x e array is
-    made. Items absent from the reference never influence the alignment. The
+    The reference is a StabilizedRun or an Anchor: only its run_id,
+    raw_items and item_map are read. The run is SVD-transformed, then its
+    items are Procrustes-aligned onto the anchor, the reference's raw items
+    through its item map, by the raw cross-covariance of the rows whose ids
+    both hold, summed over blocks of rows in ascending id order, each cast
+    to float64 alone: no n x e array is made. As the SVD step's blocks are
+    id-ordered too, the maps depend on the rows by id, not on their order.
+    Items absent from the reference never influence the alignment. The
     returned run anchors the next (rolling) one.
 
     Raises InsufficientOverlap when fewer than max(e, 10) item ids are
@@ -106,10 +120,9 @@ def stabilize_run(
         )
     # The alignment's cross-covariance (B M_ref).T (A M_new) = M_ref.T cross M_new.
     cross = np.zeros((reference.raw_items.dim, items.dim))
-    for start in range(0, shared.size, CROSS_BLOCK_ROWS):
-        block = slice(start, start + CROSS_BLOCK_ROWS)
-        b = reference.raw_items.vectors[anchor_rows[block]].astype(np.float64, copy=False)
-        cross += b.T @ items.vectors[rows[block]].astype(np.float64, copy=False)
+    for b, a in zip(_row_blocks(reference.raw_items.vectors, anchor_rows, CROSS_BLOCK_ROWS),
+                    _row_blocks(items.vectors, rows, CROSS_BLOCK_ROWS)):
+        cross += b.T @ a
     alignment = ortho_procrustes(reference.item_map.T @ (cross @ item_map))
     return StabilizedRun(run_id, reference.run_id, items, users,
                          _readonly(item_map @ alignment), _readonly(user_map @ alignment),

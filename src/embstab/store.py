@@ -40,7 +40,9 @@ written for consumers and read by no command), `raw_items.emb`,
 `raw_users.emb` (verbatim inputs), `mT.olt`, `mW.olt` (composed maps,
 float64) and `meta`, a JSON RunRecord listing each file's sha256, which
 every read checks first. load_run reads a run back from its raw pair, its
-maps and the spectrum in meta: what stabilize_run and validate use of it.
+maps and the spectrum in meta, what validate uses of it; reference_space
+reads only the latest run's meta, raw items and item map, the Anchor that
+stabilize_run uses. Either checks meta's dim against each map it reads.
 
 The `latest_ref` pointer file at the store root names the current reference
 run, the head of the store's one chain (CorruptFile if it names no listed
@@ -76,7 +78,7 @@ import numpy as np
 
 from .errors import CorruptFile, InvalidRunId, NonFinite, StaleReference, UnknownRun
 from .lowrank import EmbeddingMatrix, Role, _Behind, _readonly, rowwise_matmul
-from .stabilizer import StabilizedRun
+from .stabilizer import Anchor, StabilizedRun
 
 EMB_MAGIC = b"OLRE"
 TRF_MAGIC = b"OLRT"
@@ -324,7 +326,8 @@ class RunRecord:
 def _check_record(record: RunRecord, run_id: str) -> None:
     """Raise ValueError unless every field of a loaded record has its JSON
     type, its run_id names its own directory, its reference_run_id is a run
-    name and each listed file is in it."""
+    name, its spectrum is nonempty, finite, positive and non-increasing with
+    effective_rank values, and each listed file is in it."""
     for field in fields(RunRecord):
         value = getattr(record, field.name)
         kind = {"str": str, "int": int, "tuple": tuple, "dict": dict}[field.type]
@@ -336,6 +339,11 @@ def _check_record(record: RunRecord, run_id: str) -> None:
         raise ValueError(f"reference_run_id {record.reference_run_id!r} is not a run name")
     if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in record.spectrum):
         raise ValueError(f"spectrum holds a non-number: {record.spectrum!r}")
+    s = np.array(record.spectrum, dtype=np.float64)
+    if not (s.size and np.all(np.isfinite(s) & (s > 0)) and np.all(s[1:] <= s[:-1])):
+        raise ValueError(f"spectrum is not finite, positive and non-increasing: {s!r}")
+    if record.effective_rank != s.size:
+        raise ValueError(f"effective_rank {record.effective_rank} != {s.size} spectrum values")
     for name, digest in record.files.items():
         if not _PLAIN_NAME.fullmatch(name) or not isinstance(digest, str):
             raise ValueError(f"files entry {name!r}: {digest!r}")
@@ -490,6 +498,15 @@ class RunStore:
                 for _ in chunks:
                     pass
 
+    def _map(self, record: RunRecord, name: str) -> np.ndarray:
+        """Map file `name` of a run, CorruptFile naming meta unless it has dim
+        columns (older rank-truncated runs hold e x dim maps, so not rows)."""
+        m = read_transform(self._listed(record, name))
+        if m.shape[1] != record.dim:
+            meta = self.run_dir(record.run_id) / "meta"
+            raise CorruptFile(f"{meta}: dim {record.dim} != the {m.shape[1]} columns of {name}")
+        return m
+
     def load_run(self, run_id: str) -> StabilizedRun:
         """A stored run as save_run was given it: its raw pair, its two maps
         and the spectrum from its meta, each file read through _listed."""
@@ -499,8 +516,8 @@ class RunStore:
             reference_run_id=record.reference_run_id,
             raw_items=read_embeddings(self._listed(record, "raw_items.emb")),
             raw_users=read_embeddings(self._listed(record, "raw_users.emb")),
-            item_map=read_transform(self._listed(record, "mT.olt")),
-            user_map=read_transform(self._listed(record, "mW.olt")),
+            item_map=self._map(record, "mT.olt"),
+            user_map=self._map(record, "mW.olt"),
             spectrum=np.array(record.spectrum, dtype=np.float64),
         )
 
@@ -513,9 +530,13 @@ class RunStore:
             raise CorruptFile(f"{self.latest_ref_path}: {text!r} names no listed run")
         return text
 
-    def reference_space(self) -> StabilizedRun:
-        """The run that anchors the next stabilize_run: the latest reference."""
+    def reference_space(self) -> Anchor:
+        """The Anchor of the next stabilize_run: the latest reference's run
+        id, raw items and item map, read from its meta, raw_items.emb and
+        mT.olt alone. Its raw_users.emb and mW.olt are not opened."""
         run_id = self.latest_reference_id()
         if run_id is None:
             raise UnknownRun("store has no reference yet; run init first")
-        return self.load_run(run_id)
+        record = self.load_record(run_id)
+        raw_items = read_embeddings(self._listed(record, "raw_items.emb"))
+        return Anchor(record.run_id, raw_items, self._map(record, "mT.olt"))

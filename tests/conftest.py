@@ -55,6 +55,19 @@ MALFORMED_META = {
     "dim_not_an_int": lambda text: json.dumps({**json.loads(text), "dim": 8.5}),
     "rank_a_bool": lambda text: json.dumps({**json.loads(text), "effective_rank": True}),
     "spectrum_of_strings": lambda text: json.dumps({**json.loads(text), "spectrum": ["1.0"]}),
+    # A record that disagrees with itself: each loaded over the run's maps.
+    "rank_off_by_one": lambda text: json.dumps(
+        {**json.loads(text), "effective_rank": json.loads(text)["effective_rank"] + 1}
+    ),
+    "spectrum_ascending": lambda text: json.dumps(
+        {**json.loads(text), "spectrum": sorted(json.loads(text)["spectrum"])}
+    ),
+    "spectrum_nan": lambda text: json.dumps(
+        {**json.loads(text), "spectrum": [float("nan"), *json.loads(text)["spectrum"][1:]]}
+    ),
+    "spectrum_negative": lambda text: json.dumps(
+        {**json.loads(text), "spectrum": [*json.loads(text)["spectrum"][:-1], -1e-3]}
+    ),
     "checksum_algorithm_md5": lambda text: json.dumps(
         {**json.loads(text), "checksum_algorithm": "md5"}
     ),

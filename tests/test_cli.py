@@ -764,15 +764,14 @@ def test_pinned_reference_with_anchor_of_another_run_exits_3(
     assert not (store_with_two_runs / "runs" / "run2").exists()
 
 
-# Stored files of a run, each with a command that reads it. Every command
-# that reads a run reads these four through RunStore.load_run; none reads
-# items.emb or users.emb, since stabilize derives its anchor and validate
-# its stabilized pair from the raw pair and the maps.
+# Stored files of a run, each with a command that reads it. validate reads
+# these four through RunStore.load_run; stabilize reads its reference's
+# raw_items.emb and mT.olt alone, through RunStore.reference_space. None
+# reads items.emb or users.emb, since stabilize derives its anchor and
+# validate its stabilized pair from the raw pair and the maps.
 READERS = [
     ("raw_items.emb", "stabilize"),
-    ("raw_users.emb", "stabilize"),
     ("mT.olt", "stabilize"),
-    ("mW.olt", "stabilize"),
     ("raw_items.emb", "validate"),
     ("raw_users.emb", "validate"),
     ("mT.olt", "validate"),
@@ -844,6 +843,76 @@ def test_no_command_reads_the_stored_stabilized_pair(tmp_path, sim_dir, store_wi
     for name in ("items.emb", "users.emb", "raw_items.emb", "raw_users.emb", "mT.olt", "mW.olt"):
         expected = (intact / "runs" / "run2" / name).read_bytes()
         assert (bare / "runs" / "run2" / name).read_bytes() == expected, name
+
+
+def test_stabilize_reads_only_the_anchor_of_its_reference(
+    tmp_path, sim_dir, store_with_two_runs, capsys
+):
+    # The same run from a copy of the store whose latest run has lost its
+    # raw_users.emb and mW.olt; validate of that run names the first lost.
+    intact = store_with_two_runs
+    anchored = tmp_path / "anchored"
+    shutil.copytree(intact, anchored)
+    for name in ("raw_users.emb", "mW.olt"):
+        (anchored / "runs" / "run1" / name).unlink()
+    for store in (intact, anchored):
+        assert main(_reading_argv("stabilize", store, sim_dir, None)) == 0
+    for name in ("items.emb", "users.emb", "raw_items.emb", "raw_users.emb", "mT.olt", "mW.olt"):
+        expected = (intact / "runs" / "run2" / name).read_bytes()
+        assert (anchored / "runs" / "run2" / name).read_bytes() == expected, name
+    metas = [json.loads((store / "runs" / "run2" / "meta").read_text())
+             for store in (intact, anchored)]
+    for meta in metas:
+        meta.pop("created_at")
+    assert metas[0] == metas[1]
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert main(["validate", "--run-a", "run1", "--run-b", "run2",
+                 "--store", str(anchored), "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(anchored / "runs" / "run1" / "raw_users.emb") in err
+    assert not report.exists()
+
+
+def test_stabilize_opens_three_files_of_its_reference(sim_dir, store_with_two_runs):
+    # Every file a stabilize child opens, seen by an audit hook: of run1,
+    # the reference, only meta, raw_items.emb and mT.olt.
+    probe = (
+        "import sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(args[0]))\n"
+        "from embstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*(p for p in opened if isinstance(p, str)), sep='\\n')\n"
+        "sys.exit(code)\n"
+    )
+    store = store_with_two_runs
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *_reading_argv("stabilize", store, sim_dir, None)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    opened = {Path(p).resolve() for p in result.stdout.splitlines()}
+    reference = (store / "runs" / "run1").resolve()
+    assert {p.name for p in opened if p.parent == reference} == {"meta", "raw_items.emb", "mT.olt"}
+    assert (store / "latest_ref").resolve() in opened
+
+
+@pytest.mark.parametrize("command", ["validate", "stabilize"])
+def test_dim_that_disagrees_with_the_maps_exits_3(
+    tmp_path, sim_dir, store_with_two_runs, capsys, command
+):
+    # meta's dim against the column count of each map read: 9 over 8 x 8.
+    meta = store_with_two_runs / "runs" / "run1" / "meta"
+    record = json.loads(meta.read_text())
+    meta.write_text(json.dumps({**record, "dim": record["dim"] + 1}))
+    capsys.readouterr()
+    assert main(_reading_argv(command, store_with_two_runs, sim_dir, tmp_path / "rep")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(meta) in err
+    assert not (store_with_two_runs / "runs" / "run2").exists()
 
 
 def test_truncated_stabilize_shows_each_warning_on_one_line(tmp_path, sim_dir):

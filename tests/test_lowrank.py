@@ -359,7 +359,7 @@ class TestRFactor:
         a = a.astype(np.float32 if f32 else np.float64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lowrank, "QR_BLOCK_ROWS", 8)
-            r = lowrank._r_factor(a)
+            r = lowrank._r_factor(a, np.arange(len(a)))
         check_r_factor(r, a)
         if rank == e:
             # Unique for full column rank; rounding grows with the condition.
@@ -372,7 +372,7 @@ class TestRFactor:
         a = np.random.default_rng([n, e]).standard_normal((n, e))
         a = a.astype(np.float32 if f32 else np.float64)
         assert n <= lowrank.QR_BLOCK_ROWS
-        assert np.array_equal(lowrank._r_factor(a), signed_one_shot_r(a))
+        assert np.array_equal(lowrank._r_factor(a, np.arange(len(a))), signed_one_shot_r(a))
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4])
     def test_block_below_twice_the_width_still_ends(self, block_rows):
@@ -391,7 +391,7 @@ class TestRFactor:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lowrank, "QR_BLOCK_ROWS", block_rows)
             mp.setattr(np.linalg, "qr", counted_qr)
-            r = lowrank._r_factor(a)
+            r = lowrank._r_factor(a, np.arange(len(a)))
         check_r_factor(r, a)
         assert rel_fro(r, signed_one_shot_r(a)) < 1e-13
 

@@ -25,6 +25,7 @@ from embstab.errors import (
     InsufficientOverlap,
     RankTruncationWarning,
 )
+from embstab.lowrank import QR_BLOCK_ROWS
 from embstab.stabilizer import CROSS_BLOCK_ROWS
 from conftest import (
     alignment_maps,
@@ -467,21 +468,37 @@ class TestBlockSummedAlignment:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_reference_row_order_does_not_change_the_maps(self, dtype):
+        # The same rows in another order, on any side, give the same map and
+        # spectrum bytes. Every side has more than one TSQR block, so blocks
+        # that followed the file order would change the run's and the seed's.
         gen = np.random.default_rng(40)
-        n = 3 * CROSS_BLOCK_ROWS + 17
+        n = 2 * QR_BLOCK_ROWS + 17
         ref_items = EmbeddingMatrix.of_items(gen.standard_normal((n, 8)).astype(dtype))
-        ref_users = EmbeddingMatrix.of_users(gen.standard_normal((50, 8)).astype(dtype))
-        ref = init_reference(ref_items, ref_users, "r0")
+        ref_users = EmbeddingMatrix.of_users(gen.standard_normal((n, 8)).astype(dtype))
         items = _rotated_retrain(gen, ref_items, dtype, churn=0.1, truncated=False)
-        users = EmbeddingMatrix.of_users(gen.standard_normal((50, 8)).astype(dtype))
-        perm = gen.permutation(n)
-        permuted = EmbeddingMatrix.of_items(ref_items.vectors[perm], ids=ref_items.ids[perm])
-        runs = [
-            stabilize_run(items, users, reference, "r1")
-            for reference in (ref, dataclasses.replace(ref, raw_items=permuted))
-        ]
-        assert runs[0].item_map.tobytes() == runs[1].item_map.tobytes()
-        assert runs[0].user_map.tobytes() == runs[1].user_map.tobytes()
+        users = EmbeddingMatrix.of_users(gen.standard_normal((n, 8)).astype(dtype))
+
+        def permuted(emb):
+            perm = gen.permutation(emb.n)
+            return EmbeddingMatrix(emb.role, emb.ids[perm], emb.vectors[perm])
+
+        def assert_same_maps(run, expected, case):
+            for name in ("item_map", "user_map", "spectrum"):
+                assert getattr(run, name).tobytes() == getattr(expected, name).tobytes(), case
+
+        ref = init_reference(ref_items, ref_users, "r0")
+        permuted_seed = init_reference(permuted(ref_items), permuted(ref_users), "r0")
+        assert_same_maps(permuted_seed, ref, "seed")
+        expected = stabilize_run(items, users, ref, "r1")
+        permuted_ref = dataclasses.replace(ref, raw_items=permuted(ref_items))
+        cases = {
+            "reference items": (items, users, permuted_ref),
+            "run items": (permuted(items), users, ref),
+            "run users": (items, permuted(users), ref),
+            "all": (permuted(items), permuted(users), permuted_seed),
+        }
+        for case, (run_items, run_users, reference) in cases.items():
+            assert_same_maps(stabilize_run(run_items, run_users, reference, "r1"), expected, case)
 
     def test_allocates_less_than_the_shared_items(self):
         # No n x e array is made: not the anchor, not a float64 copy of the

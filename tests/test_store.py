@@ -45,7 +45,7 @@ from embstab.errors import (
     UnknownRun,
 )
 from embstab.cli import main
-from embstab.stabilizer import StabilizedRun
+from embstab.stabilizer import Anchor, StabilizedRun
 from embstab.store import open_embeddings, write_embedding_chunks
 from conftest import (
     DAMAGED_FILE,
@@ -505,23 +505,23 @@ class TestTransformFormat:
         assert np.array_equal(read_transform(path), m)
 
 
-def assert_same_run(loaded, run):
-    """Every field of two StabilizedRuns agrees: arrays in dtype, shape and
-    bytes, an embedding side in role, ids and vectors."""
+def assert_same_run(loaded, run, names=None):
+    """Every field of two StabilizedRuns, or each of `names`, agrees: arrays
+    in dtype, shape and bytes, an embedding side in role, ids and vectors."""
     def same_array(a, b):
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes()
 
-    for field in fields(StabilizedRun):
-        a, b = getattr(loaded, field.name), getattr(run, field.name)
+    for name in names or [field.name for field in fields(StabilizedRun)]:
+        a, b = getattr(loaded, name), getattr(run, name)
         if isinstance(b, EmbeddingMatrix):
-            assert a.role == b.role, field.name
+            assert a.role == b.role, name
             same_array(a.ids, b.ids)
             same_array(a.vectors, b.vectors)
         elif isinstance(b, np.ndarray):
             same_array(np.asarray(a), b)
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 def make_store_with_runs(tmp_path, n_runs=2):
@@ -582,7 +582,8 @@ class TestRunStore:
 
     def test_loaders(self, tmp_path):
         # load_run returns each saved run, the seed and two chained on it,
-        # and reference_space the last, field for field and bit for bit.
+        # field for field and bit for bit, and reference_space the last
+        # one's anchor: its run id, raw items and item map.
         for dtype in (np.float32, np.float64):
             store = RunStore(tmp_path / np.dtype(dtype).name)
             runs = []
@@ -595,7 +596,9 @@ class TestRunStore:
                 store.save_run(runs[-1])
             for run in runs:
                 assert_same_run(store.load_run(run.run_id), run)
-            assert_same_run(store.reference_space(), runs[-1])
+            anchor = store.reference_space()
+            assert isinstance(anchor, Anchor)
+            assert_same_run(anchor, runs[-1], Anchor._fields)
 
     def test_append_only(self, tmp_path):
         store, _ = make_store_with_runs(tmp_path, n_runs=1)
